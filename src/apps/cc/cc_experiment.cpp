@@ -268,17 +268,8 @@ class cc_single_flow_experiment final : public experiment {
 
     // Goodput sampling counts only the test flow (exclude background):
     // sample the receiver's per-flow state.
-    sampler_ = std::make_shared<std::function<void()>>();
-    *sampler_ = [this, &simu]() {
-      const auto* st = net_->receiver().flow_state(1);
-      const std::uint64_t bytes = st ? st->delivered_payload : 0;
-      goodput_.record(simu.now(),
-                      static_cast<double>(bytes - last_bytes_) * 8.0 /
-                          config_.sample_interval);
-      last_bytes_ = bytes;
-      simu.schedule(config_.sample_interval, *sampler_);
-    };
-    simu.schedule(config_.sample_interval, *sampler_);
+    sim_ = &simu;
+    simu.schedule(config_.sample_interval, [this]() { sample_goodput(); });
 
     wire_cc_metrics(ctx, *net_, rt_);
     ctx.metrics.register_series("cc.goodput_bps", goodput_);
@@ -309,14 +300,23 @@ class cc_single_flow_experiment final : public experiment {
   }
 
  private:
+  void sample_goodput() {
+    const auto* st = net_->receiver().flow_state(1);
+    const std::uint64_t bytes = st ? st->delivered_payload : 0;
+    goodput_.record(sim_->now(), static_cast<double>(bytes - last_bytes_) *
+                                     8.0 / config_.sample_interval);
+    last_bytes_ = bytes;
+    sim_->schedule(config_.sample_interval, [this]() { sample_goodput(); });
+  }
+
   cc_single_flow_config config_;
   driver_config driver_;
+  sim::simulation* sim_ = nullptr;
   std::optional<netsim::dumbbell> net_;
   std::optional<netsim::cbr_source> bg_;
   scheme_runtime rt_;
   time_series goodput_{"goodput_bps"};
   std::uint64_t last_bytes_ = 0;
-  std::shared_ptr<std::function<void()>> sampler_;
 };
 
 /// N-flow overhead run in a non-congested setting (Figs. 3/4/13).

@@ -160,29 +160,7 @@ class lb_fct_experiment final : public experiment {
     // char-device deployment still adapts (in userspace), labels batched up.
     if (config_.deployment == lb_deployment::chardev) {
       for (std::size_t h = 0; h < hosts; ++h) {
-        auto& d = deploy_[h];
-        auto& host = topo_->host_at(h);
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&simu, &d, &host, this, tick]() {
-          if (!d.pending_labels.empty()) {
-            auto batch = std::move(d.pending_labels);
-            d.pending_labels.clear();
-            d.channel->send_to_user(
-                batch.size() * 64, [&d, &host, batch = std::move(batch)]() {
-                  const double cost =
-                      host.costs().user_train_fixed_cost +
-                      static_cast<double>(batch.size() *
-                                          d.adapter->parameter_count()) *
-                          host.costs().user_train_cost_per_sample_param;
-                  host.cpu().submit(kernelsim::task_category::user_train, cost,
-                                    [&d, batch = std::move(batch)]() {
-                                      d.adapter->adapt(batch);
-                                    });
-                });
-          }
-          simu.schedule(config_.batch_interval, *tick);
-        };
-        simu.schedule(config_.batch_interval, *tick);
+        simu.schedule(config_.batch_interval, [this, h]() { batch_tick(h); });
       }
     }
 
@@ -190,31 +168,8 @@ class lb_fct_experiment final : public experiment {
     // periodically — the dynamic imbalance the learned selector must dodge.
     // Emitted manually (rather than via cbr_source) so packets carry an
     // explicit path tag.
-    {
-      auto state = std::make_shared<std::uint32_t>(2);
-      auto hop = std::make_shared<std::function<void()>>();
-      *hop = [&simu, state, this, hop]() {
-        *state = (*state == 1) ? 2 : 1;
-        simu.schedule(config_.hotspot_switch_period, *hop);
-      };
-      simu.schedule(config_.hotspot_switch_period, *hop);
-      auto emit = std::make_shared<std::function<void()>>();
-      auto* src_host = &topo_->host_at(0);
-      const auto dst_id =
-          static_cast<netsim::host_id_t>(config_.hosts_per_leaf);
-      *emit = [&simu, src_host, dst_id, state, this, emit]() {
-        netsim::packet pkt;
-        pkt.flow_id = 1'000'000;
-        pkt.dst = dst_id;
-        pkt.payload_bytes = 1460;
-        pkt.path_tag = *state;
-        pkt.ecn_capable = false;  // blasting UDP; does not back off
-        src_host->send_packet_free(pkt);
-        const double gap = 1500.0 * 8.0 / config_.hotspot_bps;
-        simu.schedule(gap, *emit);
-      };
-      simu.schedule(0.0, *emit);
-    }
+    simu.schedule(config_.hotspot_switch_period, [this]() { hotspot_hop(); });
+    simu.schedule(0.0, [this]() { hotspot_emit(); });
 
     flows_.reserve(config_.total_flows);
     auto sizes = netsim::web_search_flow_sizes();
@@ -247,35 +202,7 @@ class lb_fct_experiment final : public experiment {
     // Flowlet re-selection for active flows.
     if (config_.reselect_interval > 0.0 &&
         config_.deployment != lb_deployment::ecmp) {
-      auto resel = std::make_shared<std::function<void()>>();
-      *resel = [this, &simu, resel]() {
-        for (auto& fp : flows_) {
-          lb_flow* f = fp.get();
-          if (!f->sender || f->done) continue;
-          auto& d = deploy_[f->src];
-          f->features = d.tracker->features();
-          // Hysteresis (CONGA-style): rerouting an active flow reorders its
-          // packets (dup-ACK storms for long flows), so only consult the
-          // selector when the flow's current path actually looks congested.
-          if (f->path_tag != 0) {
-            const std::size_t ecn_index = (f->path_tag - 1) * 3;
-            if (ecn_index < f->features.size() &&
-                f->features[ecn_index] < 0.3) {
-              continue;
-            }
-          }
-          ++selector_calls_;
-          d.selector->select(f->sender->flow(), f->features,
-                             [f](std::uint32_t tag) {
-                               if (!f->done && f->sender && tag != 0) {
-                                 f->path_tag = tag;
-                                 f->sender->set_path_tag(tag);
-                               }
-                             });
-        }
-        simu.schedule(config_.reselect_interval, *resel);
-      };
-      simu.schedule(config_.reselect_interval, *resel);
+      simu.schedule(config_.reselect_interval, [this]() { reselect(); });
     }
 
     // Telemetry: per-host FCT/CPU accounting, LiteFlow stacks, fabric links;
@@ -346,6 +273,76 @@ class lb_fct_experiment final : public experiment {
     }
   }
 
+  /// Char-device deployment: ship host `h`'s pending labels across the
+  /// channel for a userspace training pass, then re-arm.
+  void batch_tick(std::size_t h) {
+    auto& d = deploy_[h];
+    auto& host = topo_->host_at(h);
+    if (!d.pending_labels.empty()) {
+      auto batch = std::move(d.pending_labels);
+      d.pending_labels.clear();
+      d.channel->send_to_user(
+          batch.size() * 64, [&d, &host, batch = std::move(batch)]() {
+            const double cost =
+                host.costs().user_train_fixed_cost +
+                static_cast<double>(batch.size() *
+                                    d.adapter->parameter_count()) *
+                    host.costs().user_train_cost_per_sample_param;
+            host.cpu().submit(kernelsim::task_category::user_train, cost,
+                              [&d, batch = std::move(batch)]() {
+                                d.adapter->adapt(batch);
+                              });
+          });
+    }
+    sim_->schedule(config_.batch_interval, [this, h]() { batch_tick(h); });
+  }
+
+  void hotspot_hop() {
+    hotspot_path_ = (hotspot_path_ == 1) ? 2 : 1;
+    sim_->schedule(config_.hotspot_switch_period, [this]() { hotspot_hop(); });
+  }
+
+  void hotspot_emit() {
+    netsim::packet pkt;
+    pkt.flow_id = 1'000'000;
+    pkt.dst = static_cast<netsim::host_id_t>(config_.hosts_per_leaf);
+    pkt.payload_bytes = 1460;
+    pkt.path_tag = hotspot_path_;
+    pkt.ecn_capable = false;  // blasting UDP; does not back off
+    topo_->host_at(0).send_packet_free(pkt);
+    const double gap = 1500.0 * 8.0 / config_.hotspot_bps;
+    sim_->schedule(gap, [this]() { hotspot_emit(); });
+  }
+
+  /// Flowlet re-selection for active flows.
+  void reselect() {
+    for (auto& fp : flows_) {
+      lb_flow* f = fp.get();
+      if (!f->sender || f->done) continue;
+      auto& d = deploy_[f->src];
+      f->features = d.tracker->features();
+      // Hysteresis (CONGA-style): rerouting an active flow reorders its
+      // packets (dup-ACK storms for long flows), so only consult the
+      // selector when the flow's current path actually looks congested.
+      if (f->path_tag != 0) {
+        const std::size_t ecn_index = (f->path_tag - 1) * 3;
+        if (ecn_index < f->features.size() &&
+            f->features[ecn_index] < 0.3) {
+          continue;
+        }
+      }
+      ++selector_calls_;
+      d.selector->select(f->sender->flow(), f->features,
+                         [f](std::uint32_t tag) {
+                           if (!f->done && f->sender && tag != 0) {
+                             f->path_tag = tag;
+                             f->sender->set_path_tag(tag);
+                           }
+                         });
+    }
+    sim_->schedule(config_.reselect_interval, [this]() { reselect(); });
+  }
+
   void start_flow(const arrival_plan& ap) {
     sim::simulation& simu = *sim_;
     auto flow = std::make_unique<lb_flow>();
@@ -403,6 +400,7 @@ class lb_fct_experiment final : public experiment {
   flow_id_t next_flow_ = 1;
   std::size_t completed_ = 0;
   std::uint64_t selector_calls_ = 0;
+  std::uint32_t hotspot_path_ = 2;  ///< spine the background hotspot pins
   std::vector<double> fct_short_, fct_mid_, fct_long_;
 };
 

@@ -194,44 +194,13 @@ class sched_fct_experiment final : public experiment {
         config_.deployment == sched_deployment::netlink_dev;
     if (userspace_adapts) {
       for (std::size_t h = 0; h < hosts; ++h) {
-        auto& d = deploy_[h];
-        auto& host = topo_->host_at(h);
-        // Heap-allocate the periodic tick so the self-referencing closure
-        // outlives this loop iteration.
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&simu, &d, &host, this, tick]() {
-          if (!d.pending_labels.empty()) {
-            auto batch = std::move(d.pending_labels);
-            d.pending_labels.clear();
-            d.channel->send_to_user(batch.size() * 64, [&d, &host,
-                                                        batch = std::move(
-                                                            batch)]() {
-              const double cost =
-                  host.costs().user_train_fixed_cost +
-                  static_cast<double>(batch.size() * d.adapter->parameter_count()) *
-                      host.costs().user_train_cost_per_sample_param;
-              host.cpu().submit(kernelsim::task_category::user_train, cost,
-                                [&d, batch = std::move(batch)]() {
-                                  d.adapter->adapt(batch);
-                                });
-            });
-          }
-          simu.schedule(config_.batch_interval, *tick);
-        };
-        simu.schedule(config_.batch_interval, *tick);
+        simu.schedule(config_.batch_interval, [this, h]() { batch_tick(h); });
       }
     }
 
     sizes_.emplace(hosts, config_.size_correlation, config_.seed + 4000);
     if (config_.pattern_shift_period > 0.0) {
-      // Heap-allocate the self-referencing closure: the scheduled copies must
-      // outlive this scope.
-      auto shift = std::make_shared<std::function<void()>>();
-      *shift = [&simu, this, shift]() {
-        sizes_->shift_pattern();
-        simu.schedule(config_.pattern_shift_period, *shift);
-      };
-      simu.schedule(config_.pattern_shift_period, *shift);
+      simu.schedule(config_.pattern_shift_period, [this]() { shift_pattern(); });
     }
 
     flows_.reserve(config_.total_flows);
@@ -305,6 +274,35 @@ class sched_fct_experiment final : public experiment {
     std::size_t src;
     std::size_t dst;
   };
+
+  /// Userspace deployments: ship host `h`'s pending labels across the
+  /// channel for a userspace training pass, then re-arm.
+  void batch_tick(std::size_t h) {
+    auto& d = deploy_[h];
+    auto& host = topo_->host_at(h);
+    if (!d.pending_labels.empty()) {
+      auto batch = std::move(d.pending_labels);
+      d.pending_labels.clear();
+      d.channel->send_to_user(
+          batch.size() * 64, [&d, &host, batch = std::move(batch)]() {
+            const double cost =
+                host.costs().user_train_fixed_cost +
+                static_cast<double>(batch.size() *
+                                    d.adapter->parameter_count()) *
+                    host.costs().user_train_cost_per_sample_param;
+            host.cpu().submit(kernelsim::task_category::user_train, cost,
+                              [&d, batch = std::move(batch)]() {
+                                d.adapter->adapt(batch);
+                              });
+          });
+    }
+    sim_->schedule(config_.batch_interval, [this, h]() { batch_tick(h); });
+  }
+
+  void shift_pattern() {
+    sizes_->shift_pattern();
+    sim_->schedule(config_.pattern_shift_period, [this]() { shift_pattern(); });
+  }
 
   void start_flow(const arrival_plan& ap) {
     sim::simulation& simu = *sim_;

@@ -71,7 +71,7 @@ void link::try_transmit() {
   record_queue();
   const double tx_time =
       static_cast<double>(pkt.wire_bytes) * 8.0 / config_.rate_bps;
-  sim_.schedule(tx_time, [this, pkt]() mutable {
+  auto on_sent = [this, pkt]() mutable {
     transmitted_.inc();
     tx_bytes_.inc(pkt.wire_bytes);
     if (tx_hook_) tx_hook_(pkt);
@@ -79,7 +79,10 @@ void link::try_transmit() {
     sim_.schedule(config_.propagation_delay,
                   [this, pkt]() mutable { dst_.deliver(pkt); });
     try_transmit();
-  });
+  };
+  // Two events per hop per packet: keep them in the slab's inline buffer.
+  static_assert(sim::simulation::fits_inline<decltype(on_sent)>);
+  sim_.schedule(tx_time, std::move(on_sent));
 }
 
 void link::register_metrics(metrics::registry& reg, const std::string& prefix) {

@@ -1,5 +1,7 @@
 #include "rt/engine.hpp"
 
+#include <stdexcept>
+
 namespace lf::rt {
 namespace {
 
@@ -33,6 +35,10 @@ datapath_engine::datapath_engine(engine_config cfg)
     : cfg_{cfg},
       epochs_{cfg.max_workers == 0 ? 1 : cfg.max_workers},
       cache_{resolved_shards(cfg), cfg.shard_capacity, epochs_} {
+  if (cfg_.telemetry.latency_sample_shift >= 64) {
+    throw std::invalid_argument{
+        "engine_config: telemetry.latency_sample_shift must be < 64"};
+  }
   // Reflect the resolved policy back into config() so callers (and the
   // bench report) see the shard count actually in effect.
   cfg_.shards = cache_.shard_count();

@@ -242,6 +242,7 @@ void sharded_flow_cache::rehash(shard& sh, std::size_t new_capacity) {
   sh.seq_write_begin();
   sh.tbl.store(fresh, std::memory_order_release);
   sh.seq_write_end();
+  sh.table_capacity.store(fresh->mask + 1, std::memory_order_relaxed);
   // Readers inside an epoch guard may still be probing the old array; free
   // it only after a grace period proves they are gone.
   epochs_.retire([old]() { delete old; });
@@ -330,7 +331,7 @@ sharded_flow_cache::totals sharded_flow_cache::stats() const {
   for (const auto& shp : shards_) {
     const shard& sh = *shp;
     t.size += sh.occupied.load(std::memory_order_relaxed);
-    t.capacity += sh.tbl.load(std::memory_order_relaxed)->mask + 1;
+    t.capacity += sh.table_capacity.load(std::memory_order_relaxed);
     t.evictions += sh.evictions.load(std::memory_order_relaxed);
     t.rehashes += sh.rehashes.load(std::memory_order_relaxed);
     t.lock_acquisitions += sh.lock.acquisitions();

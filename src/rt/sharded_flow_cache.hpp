@@ -146,7 +146,8 @@ class sharded_flow_cache {
 
   struct alignas(64) shard {
     explicit shard(std::size_t capacity)
-        : tbl{new table{round_up_pow2(capacity < 4 ? 4 : capacity)}} {}
+        : tbl{new table{round_up_pow2(capacity < 4 ? 4 : capacity)}},
+          table_capacity{tbl.load(std::memory_order_relaxed)->mask + 1} {}
     ~shard() { delete tbl.load(std::memory_order_relaxed); }
 
     spinlock lock;                   ///< insert/erase/evict/rehash
@@ -166,6 +167,9 @@ class sharded_flow_cache {
     // conflicts, never on the clean lock-free fast path):
     std::atomic<std::uint64_t> read_retries{0};
     std::atomic<std::uint64_t> read_fallbacks{0};
+    /// Capacity of `tbl`, mirrored under `lock` by rehash so stats() never
+    /// dereferences a table a concurrent rehash may retire.
+    std::atomic<std::size_t> table_capacity;
 
     void seq_write_begin() noexcept {
       seq.fetch_add(1, std::memory_order_acq_rel);

@@ -572,6 +572,47 @@ TEST(ShardedFlowCache, LockFreeLookupSurvivesConcurrentChurn) {
   rig.epochs.synchronize();
 }
 
+TEST(ShardedFlowCache, StatsReadDuringForcedRehashesTouchesNoRetiredTable) {
+  // counters_now() (and so stats()) on a second thread while the routing
+  // thread forces grow and scrub rehashes and frees every retired table
+  // right away: the capacity must come from the per-shard mirror, never
+  // from a table pointer a rehash may retire.  Bounded by iteration counts;
+  // the ASan and TSan jobs run it.
+  rt::engine_config cfg;
+  cfg.shards = 1;
+  cfg.shard_capacity = 4;
+  cfg.max_workers = 1;
+  rt::datapath_engine e{cfg};
+  rt::worker_handle& w = e.register_worker();
+  e.install(rt_snapshot(1));
+  ASSERT_TRUE(e.switch_active());
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::thread reader{[&]() {
+    while (!stop.load(std::memory_order_acquire)) {
+      const auto c = e.counters_now();
+      const std::size_t cap = e.cache().stats().capacity;
+      if (cap < 4 || (cap & (cap - 1)) != 0 || c.cache_size > cap) {
+        bad.fetch_add(1);
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  }};
+  netsim::flow_id_t next = 0;
+  for (int round = 0; round < 300; ++round) {
+    for (int f = 0; f < 48; ++f) e.route(w, next++, round * 1.0, {}, {});
+    e.expire_idle(round + 100.0);  // tombstones: the next round scrubs
+    e.epochs().synchronize();      // frees the retired tables now
+  }
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(e.cache().stats().rehashes, 1u);
+}
+
 // --------------------------------------------------------------- engine --
 
 TEST(RtEngine, RoutePinsFlowsAcrossSwitchUntilFin) {
@@ -688,6 +729,22 @@ TEST(RtEngineConfig, ShardsDeriveFromWorkerBudget) {
   EXPECT_EQ(e.cache().shard_count(), 8u);
   EXPECT_EQ(e.config().l1_slots, 64u);
   EXPECT_EQ(e.register_worker().l1_capacity(), 64u);
+}
+
+TEST(RtEngineConfig, RejectsLatencySampleShiftOfWordWidth) {
+  // 1 << 64 is undefined; the sample mask must not be built from it.
+  rt::engine_config cfg;
+  cfg.max_workers = 1;
+  cfg.telemetry.latency = true;
+  cfg.telemetry.latency_sample_shift = 64;
+  EXPECT_THROW(rt::datapath_engine{cfg}, std::invalid_argument);
+  cfg.telemetry.latency_sample_shift = 99;
+  EXPECT_THROW(rt::datapath_engine{cfg}, std::invalid_argument);
+  cfg.telemetry.latency = false;  // malformed even while timing is off
+  EXPECT_THROW(rt::datapath_engine{cfg}, std::invalid_argument);
+  cfg.telemetry.latency = true;
+  cfg.telemetry.latency_sample_shift = 63;  // widest valid mask
+  EXPECT_NO_THROW(rt::datapath_engine{cfg});
 }
 
 TEST(RtEngine, L1DisabledFallsBackToShardPath) {
