@@ -82,9 +82,6 @@ struct run_result {
   /// run's adaptation monitor (empty when it was disabled).
   std::vector<core::snapshot_record> lifecycle;
   std::vector<core::alert_record> alerts;
-  /// Shadow-gate decision ledger (multi-model deployments; empty when no
-  /// switch went through the divergence gate).
-  std::vector<core::gate_record> gates;
 
   /// Path of the written REPORT_<label>.html; empty when reporting was off.
   std::string report_path;

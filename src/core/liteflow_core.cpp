@@ -53,118 +53,22 @@ bool liteflow_core::unregister_io(io_handle handle) {
 void liteflow_core::install_standby(model_key model, model_id id) {
   const auto replaced = router_.standby(model);
   router_.install_standby(model, id);
-  // A displaced candidate (e.g. one the gate kept blocking) has lost its
-  // slot ref; unload it so rejected snapshots don't pile up in the manager.
+  // A displaced candidate has lost its slot ref; unload it so snapshots
+  // that were never switched in don't pile up in the manager.
   if (replaced && *replaced != id) manager_.try_remove(*replaced);
-  // New candidate, new trial: any divergence measured against the previous
-  // standby says nothing about this one.
-  scorers_[model].reset();
 }
 
 gate_result liteflow_core::switch_active(model_key model) {
-  gate_result r;
-  const auto standby = router_.standby(model);
-  if (!standby) {
-    // Delegate so the router's no-op accounting stays authoritative.
-    router_.switch_active(model);
-    return r;
-  }
-  r.had_standby = true;
-  auto& scorer = scorers_[model];
-  r.verdict = scorer.check(shadow_);
-  // The gate only has jurisdiction when there is an incumbent to diverge
-  // from: an initial deployment ships unconditionally.
-  const bool gated = shadow_.active() && shadow_.gate_enabled &&
-                     router_.active(model).has_value();
-  if (gated && !r.verdict.admit) {
-    r.gate_blocked = true;
-    gate_blocks_.inc();
-  } else {
-    r.admitted = true;
-    r.switch_wait = router_.switch_active(model);
-    scorer.reset();  // evidence consumed by the flip
-  }
-  if (monitor_ && gated) {
-    gate_record g;
-    g.t = sim_.now();
-    g.logical_model = model;
-    g.candidate = *standby;
-    if (const auto* snap = manager_.get(*standby)) g.version = snap->version;
-    g.admitted = r.admitted;
-    g.samples = r.verdict.samples;
-    g.mean_divergence = r.verdict.mean_divergence;
-    g.max_divergence = r.verdict.max_divergence;
-    monitor_->on_shadow_gate(g);
-  }
-  return r;
-}
-
-gate_result liteflow_core::rollback(model_key model, model_id prev) {
-  gate_result r;
-  const auto* prev_snap = manager_.get(prev);
-  if (prev_snap == nullptr) return r;  // rollback target already unloaded
-  const std::uint64_t prev_version = prev_snap->version;
-  r.had_standby = true;
-  // Evidence snapshot before the flip consumes it: the ledger should show
-  // what the scorer knew about the *regressed* incumbent at rollback time.
-  auto& scorer = scorers_[model];
-  r.verdict = scorer.check(shadow_);
-  // Stage the previous active through the standby slot so the re-promotion
-  // is the same one-pointer exchange as a forward switch (same lock, same
-  // trace events, same flow-cache pinning semantics).  A fresh candidate
-  // sitting in the slot is displaced and unloaded like any replaced standby.
-  const auto displaced = router_.standby(model);
-  router_.install_standby(model, prev);
-  if (displaced && *displaced != prev) manager_.try_remove(*displaced);
-  r.admitted = true;
-  r.switch_wait = router_.switch_active(model);
-  scorer.reset();  // divergence vs the regressed model is now meaningless
-  if (monitor_ != nullptr) {
-    gate_record g;
-    g.t = sim_.now();
-    g.logical_model = model;
-    g.candidate = prev;
-    g.version = prev_version;
-    g.admitted = true;
-    g.samples = r.verdict.samples;
-    g.mean_divergence = r.verdict.mean_divergence;
-    g.max_divergence = r.verdict.max_divergence;
-    g.rollback = true;
-    monitor_->on_shadow_gate(g);
-  }
-  return r;
+  // A missing standby still goes through the router so its no-op
+  // accounting stays authoritative (the router then reports no wait).
+  const bool had_standby = router_.standby(model).has_value();
+  return {had_standby, router_.switch_active(model)};
 }
 
 double liteflow_core::query_cost(const codegen::snapshot& snap) const noexcept {
   return costs_.snapshot_query_overhead +
          static_cast<double>(snap.program.mac_count()) *
              costs_.snapshot_mac_cost;
-}
-
-const codegen::snapshot* liteflow_core::shadow_target(model_key model,
-                                                      netsim::flow_id_t flow,
-                                                      model_id& out_id) const {
-  if (!shadow_.active()) return nullptr;  // rate 0: not even a hash
-  if (!shadow_scorer::sampled(shadow_, model, flow)) return nullptr;
-  const auto standby = router_.standby(model);
-  if (!standby) return nullptr;
-  out_id = *standby;
-  return manager_.get(*standby);
-}
-
-void liteflow_core::record_shadow(model_key model,
-                                  const codegen::snapshot& active_snap,
-                                  std::span<const fp::s64> active_out,
-                                  const codegen::snapshot& shadow_snap,
-                                  std::span<const fp::s64> input) {
-  if (input.size() != shadow_snap.input_size()) return;  // shape drifted
-  shadow_out_.resize(shadow_snap.output_size());
-  shadow_snap.program.infer_into(input, shadow_out_, scratch_);
-  shadow_inferences_.inc();
-  scorers_[model].record(shadow_divergence(active_out,
-                                           active_snap.program.io_scale(),
-                                           shadow_out_,
-                                           shadow_snap.program.io_scale()));
 }
 
 void liteflow_core::query_model(model_key model, netsim::flow_id_t flow,
@@ -177,27 +81,15 @@ void liteflow_core::query_model(model_key model, netsim::flow_id_t flow,
     if (done) done({});
     return;
   }
-  // Shadow decision is taken at submit time (the standby may be switched or
-  // replaced while the query sits in the CPU queue — the comparison must be
-  // against the snapshot that was the candidate when the packet arrived).
-  model_id shadow_id = 0;
-  const auto* shadow_snap = shadow_target(model, flow, shadow_id);
-  double cost = query_cost(*snap);
-  if (shadow_snap) cost += query_cost(*shadow_snap);  // shadowing is charged
-  // Pin the module(s) while the inference is queued on the CPU — a snapshot
+  // Pin the module while the inference is queued on the CPU — a snapshot
   // update may otherwise unload it before the work item runs.
   manager_.add_ref(*id);
-  if (shadow_snap) manager_.add_ref(shadow_id);
   trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, *id);
-  cpu_.submit(kernelsim::task_category::datapath, cost,
-              [this, model, flow, id = *id, snap, shadow_snap, shadow_id,
-               input = std::move(input), done = std::move(done)]() {
+  cpu_.submit(kernelsim::task_category::datapath, query_cost(*snap),
+              [this, flow, id = *id, snap, input = std::move(input),
+               done = std::move(done)]() {
                 std::vector<fp::s64> out(snap->output_size());
                 snap->program.infer_into(input, out, scratch_);
-                if (shadow_snap) {
-                  record_shadow(model, *snap, out, *shadow_snap, input);
-                  manager_.release(shadow_id);
-                }
                 trace_.emit(sim_.now(), trace::event_type::inference_end,
                             flow, id);
                 manager_.release(id);
@@ -211,17 +103,12 @@ std::vector<fp::s64> liteflow_core::query_model_sync(
   const auto id = router_.route(model, flow);
   const auto* snap = id ? manager_.get(*id) : nullptr;
   if (!snap || input.size() != snap->input_size()) return {};
-  model_id shadow_id = 0;
-  const auto* shadow_snap = shadow_target(model, flow, shadow_id);
-  double cost = query_cost(*snap);
-  if (shadow_snap) cost += query_cost(*shadow_snap);
-  cpu_.submit(kernelsim::task_category::datapath, cost);
+  cpu_.submit(kernelsim::task_category::datapath, query_cost(*snap));
   // Synchronous path: begin/end collapse to a zero-duration span (the CPU
   // charge above is fire-and-forget).
   trace_.emit(sim_.now(), trace::event_type::inference_begin, flow, *id);
   std::vector<fp::s64> out(snap->output_size());
   snap->program.infer_into(input, out, scratch_);
-  if (shadow_snap) record_shadow(model, *snap, out, *shadow_snap, input);
   trace_.emit(sim_.now(), trace::event_type::inference_end, flow, *id);
   return out;
 }
@@ -233,24 +120,11 @@ fp::s64 liteflow_core::active_io_scale(model_key model) const {
   return snap ? snap->program.io_scale() : 0;
 }
 
-shadow_verdict liteflow_core::shadow_evidence(model_key model) const {
-  const auto it = scorers_.find(model);
-  if (it == scorers_.end()) return {};
-  return it->second.check(shadow_);
-}
-
 void liteflow_core::register_metrics(metrics::registry& reg,
                                      const std::string& prefix) {
   const std::string base = prefix + ".core";
   reg.register_counter(base + ".queries", queries_);
   router_.register_metrics(reg, base);
-}
-
-void liteflow_core::register_shadow_metrics(metrics::registry& reg,
-                                            const std::string& prefix) {
-  reg.register_counter(prefix + ".core.shadow.inferences", shadow_inferences_);
-  reg.register_counter(prefix + ".core.shadow.gate_blocks", gate_blocks_);
-  manager_.register_metrics(reg, prefix + ".nn");
 }
 
 void liteflow_core::register_trace(trace::collector& col,
@@ -262,7 +136,6 @@ void liteflow_core::register_trace(trace::collector& col,
 
 void liteflow_core::register_monitor(adaptation_monitor& monitor) {
   if (!monitor.enabled()) return;
-  monitor_ = &monitor;
   manager_.set_removal_hook([this, &monitor](model_id id) {
     monitor.on_snapshot_removed(sim_.now(), id);
   });

@@ -15,14 +15,11 @@
 // are source- and behavior-identical.  All models share one nn_manager, one
 // router (one flow cache, one switch lock) and one kernel CPU.
 //
-// Shadow scoring: with a nonzero `shadow_config.sample_rate`, queries on a
-// deterministic sampled slice of flows also run the model's *standby*
-// snapshot, charge its CPU cost (shadowing is not free — that is the
-// point), and accumulate the output divergence vs the active.  switch_active
-// consults that evidence: a standby whose divergence exceeds the threshold
-// (or that has not been measured enough) is refused, and the refusal is
-// reported to the adaptation monitor's gate ledger.  A model with no active
-// yet always admits — there is nothing to diverge from.
+// A snapshot update is the paper's §3.4 sequence: install on the standby,
+// flip one pointer, and let the flow cache pin each resident flow to the
+// generation it started on.  The §3.3 fidelity check in the userspace
+// service is the only gate on a sync; live shadow scoring is an rt-engine
+// feature (rt::datapath_engine).
 #pragma once
 
 #include <functional>
@@ -45,13 +42,10 @@ struct io_module_spec {
   std::size_t output_size = 0;
 };
 
-/// Outcome of one (possibly gated) switch request.
+/// Outcome of one switch request.
 struct gate_result {
-  bool admitted = false;      ///< the active/standby flip actually happened
-  bool had_standby = false;   ///< false: the request was a counted no-op
-  bool gate_blocked = false;  ///< standby present but shadow gate refused
-  double switch_wait = 0.0;   ///< lock wait of the flip (0 when not flipped)
-  shadow_verdict verdict;     ///< the evidence the gate ruled on
+  bool admitted = false;     ///< false: no standby, the request was a no-op
+  double switch_wait = 0.0;  ///< lock wait of the flip (0 when not flipped)
 };
 
 class liteflow_core {
@@ -78,30 +72,14 @@ class liteflow_core {
   /// lf_unregister_io.
   bool unregister_io(io_handle handle);
 
-  /// Install a snapshot as one logical model's standby.  Resets that
-  /// model's shadow evidence: a new candidate starts unproven.
+  /// Install a snapshot as one logical model's standby.  A displaced
+  /// standby that was never switched in is unloaded.
   void install_standby(model_id id) { install_standby(k_default_model, id); }
   void install_standby(model_key model, model_id id);
 
-  /// Shadow-gated switch (see file header for the protocol).  The gate only
-  /// engages when shadowing is configured AND the model already has an
-  /// active snapshot; otherwise this is the router's plain flip.
+  /// Flip the model's standby to active (the router's one-pointer exchange).
   gate_result switch_active() { return switch_active(k_default_model); }
   gate_result switch_active(model_key model);
-
-  /// Gate-aware rollback: re-promote `prev` (the module that was active
-  /// before the last switch and that the caller kept registered through its
-  /// probation window).  Installs `prev` as standby and flips it active
-  /// through the router's ordinary one-pointer exchange — never consulting
-  /// the shadow gate, because live evidence already condemned the incumbent.
-  /// The demoted (regressed) module stays registered; removing it is the
-  /// caller's close-out, exactly like an admitted switch.  Recorded in the
-  /// monitor's gate ledger with gate_record::rollback set.  Returns an
-  /// unadmitted no-op result when `prev` is no longer registered.
-  gate_result rollback(model_id prev) {
-    return rollback(k_default_model, prev);
-  }
-  gate_result rollback(model_key model, model_id prev);
 
   /// lf_query_model (asynchronous): integer-domain inference through the
   /// active snapshot for `flow`, honoring the flow cache.  `done` receives
@@ -130,32 +108,12 @@ class liteflow_core {
   fp::s64 active_io_scale() const { return active_io_scale(k_default_model); }
   fp::s64 active_io_scale(model_key model) const;
 
-  /// Shadow scoring configuration (applies to every model; per-model state
-  /// is the scorer, not the knobs).  Takes effect for subsequent queries.
-  void set_shadow_config(const shadow_config& cfg) { shadow_ = cfg; }
-  const shadow_config& shadow() const noexcept { return shadow_; }
-
-  /// Current shadow evidence for one model (zero-valued if never sampled).
-  shadow_verdict shadow_evidence(model_key model) const;
-
   std::uint64_t queries() const noexcept { return queries_.value(); }
-  /// Standby inferences executed on the shadow slice (0 when rate is 0).
-  std::uint64_t shadow_inferences() const noexcept {
-    return shadow_inferences_.value();
-  }
-  /// Switch requests refused by the divergence gate.
-  std::uint64_t gate_blocks() const noexcept { return gate_blocks_.value(); }
   std::size_t io_module_count() const noexcept { return io_modules_.size(); }
 
   /// Publish query count plus the router/cache/lock telemetry under
   /// "<prefix>.core.*".
   void register_metrics(metrics::registry& reg, const std::string& prefix);
-
-  /// Opt-in shadow counters ("<prefix>.core.shadow.{inferences,gate_blocks}"
-  /// + "<prefix>.nn.refcount_errors").  Separate from register_metrics so
-  /// single-model fast-seed telemetry stays byte-identical.
-  void register_shadow_metrics(metrics::registry& reg,
-                               const std::string& prefix);
 
   /// Attach the core rings to a trace collector: inference_begin/end spans
   /// under "<prefix>.core" (begin at query submission, end when the CPU
@@ -165,21 +123,11 @@ class liteflow_core {
 
   /// Attach the adaptation health monitor: wires the nn_manager removal
   /// hook so the monitor's lifecycle ledger sees module unloads (deferred
-  /// last-reference drops included), and routes shadow-gate outcomes into
-  /// its gate ledger.  No-op for a disabled monitor.
+  /// last-reference drops included).  No-op for a disabled monitor.
   void register_monitor(adaptation_monitor& monitor);
 
  private:
   double query_cost(const codegen::snapshot& snap) const noexcept;
-  /// The standby snapshot to shadow `(model, flow)` with, or nullptr when
-  /// shadowing is off, the flow is outside the sample, or no standby exists.
-  const codegen::snapshot* shadow_target(model_key model,
-                                         netsim::flow_id_t flow,
-                                         model_id& out_id) const;
-  void record_shadow(model_key model, const codegen::snapshot& active_snap,
-                     std::span<const fp::s64> active_out,
-                     const codegen::snapshot& shadow_snap,
-                     std::span<const fp::s64> input);
 
   sim::simulation& sim_;
   kernelsim::cpu_model& cpu_;
@@ -188,18 +136,11 @@ class liteflow_core {
   inference_router router_;
   std::map<io_handle, io_module_spec> io_modules_;
   io_handle next_io_ = 1;
-  shadow_config shadow_;
-  std::map<model_key, shadow_scorer> scorers_;
-  adaptation_monitor* monitor_ = nullptr;
   metrics::counter queries_;
-  metrics::counter shadow_inferences_;
-  metrics::counter gate_blocks_;
   trace::ring trace_{"core"};
   /// Reused across queries so the datapath inference allocates nothing
   /// beyond the caller-visible output vector (sim is single-threaded).
   mutable quant::inference_scratch scratch_;
-  /// Shadow output staging (same zero-allocation discipline).
-  std::vector<fp::s64> shadow_out_;
 };
 
 }  // namespace lf::core

@@ -22,12 +22,12 @@
 //
 // The header also carries the **shadow scoring** primitives (the live
 // complement to §3.3's offline fidelity check): a seeded, deterministic
-// flow sampler plus a divergence accumulator.  The standby snapshot runs on
-// the sampled slice of live routes, its outputs are compared against the
-// active's, and the accumulated divergence statistic gates switch_active —
-// measure before you commit.  The scorer itself is plain (single-writer);
-// the rt engine wraps it in a per-model spinlock, the simulated core uses
-// it bare.
+// flow sampler plus a divergence accumulator.  rt::datapath_engine runs the
+// standby snapshot on the sampled slice of live routes, compares its
+// outputs against the active's, and lets the accumulated divergence gate
+// try_switch — measure before you commit.  The scorer itself is plain
+// (single-writer); the engine wraps it in a per-model spinlock.  The
+// simulated core (liteflow_core) does no shadow scoring.
 #pragma once
 
 #include <cstddef>
@@ -127,8 +127,7 @@ struct shadow_verdict {
 
 /// Divergence accumulator for one model's standby snapshot.  Plain data:
 /// callers that share it across threads must wrap it in their own lock (the
-/// rt engine uses a per-model spinlock; the simulated core is
-/// single-threaded).
+/// rt engine uses a per-model spinlock).
 class shadow_scorer {
  public:
   /// Deterministic flow sampler: a pure splitmix64 hash of
@@ -147,7 +146,7 @@ class shadow_scorer {
   /// concurrent callers: a worker that peeked candidate A inside its epoch
   /// guard can reach the scorer after the writer replaced A with B and
   /// reset/re-bound the evidence — A's divergence must not gate B.  The
-  /// single-threaded sim path keeps using the untagged record().
+  /// untagged record() above serves single-threaded callers.
   void record(double divergence, std::uint64_t candidate_gen) noexcept;
 
   /// Bind the evidence to one candidate generation (0 = unbound: every

@@ -58,16 +58,6 @@ struct service_config {
   /// Logical model this service adapts (one service per model; N services
   /// share one liteflow_core).  Default keeps single-model wiring intact.
   model_key model = k_default_model;
-  /// Scheduling weight when a service_mux arbitrates CPU-saturated training
-  /// across services (higher wins; ties admit everyone).
-  int priority = 0;
-  /// Probation hold (gate-aware rollback): retain the demoted module after
-  /// each admitted switch instead of removing it immediately, so
-  /// rollback_last() can re-promote it if live evidence condemns the new
-  /// active.  The hold closes — and the retained module unloads — when the
-  /// *next* install supersedes it.  Off preserves the historical
-  /// remove-on-switch behavior bit for bit.
-  bool probation = false;
 };
 
 class userspace_service {
@@ -91,42 +81,10 @@ class userspace_service {
   std::uint64_t skipped_not_necessary() const noexcept {
     return skip_nec_.value();
   }
-  /// Batches whose training was refused by the admission hook (CPU
-  /// saturation arbitration; see set_admission).
-  std::uint64_t deferred_batches() const noexcept { return deferred_.value(); }
-  /// Snapshot installs whose switch the shadow-divergence gate refused; the
-  /// candidate stays standby and keeps accumulating evidence.
-  std::uint64_t gate_blocked_switches() const noexcept {
-    return gate_blocked_.value();
-  }
-  /// Switches undone by rollback_last().
-  std::uint64_t rollbacks() const noexcept { return rollbacks_.value(); }
-  /// The probation hold's rollback target, nullopt when no hold is open
-  /// (probation off, no admitted switch yet, or already rolled back).
-  std::optional<model_id> probation_prev() const noexcept {
-    return probation_prev_;
-  }
   std::uint64_t current_version() const noexcept { return version_; }
   const sync_decision& last_decision() const noexcept { return last_decision_; }
-  const gate_result& last_gate() const noexcept { return last_gate_; }
   sync_evaluator& evaluator() noexcept { return evaluator_; }
   const service_config& config() const noexcept { return config_; }
-
-  /// Admission hook consulted before each batch's training is submitted to
-  /// the shared CPU.  Returning false defers that batch (counted, dropped —
-  /// the kernel will deliver fresher samples anyway).  Installed by
-  /// service_mux; empty (the default) admits everything.
-  void set_admission(std::function<bool()> admit) {
-    admission_ = std::move(admit);
-  }
-
-  /// Undo the last admitted switch: re-promote the probation hold's retained
-  /// module through liteflow_core::rollback and unload the regressed one.
-  /// Returns false (a counted no-op at the core layer is not reached) when
-  /// probation is off or no hold is open.  The version counter stays
-  /// monotonic — the next install ships a fresh version, never reuses the
-  /// regressed one.
-  bool rollback_last();
 
   /// Publish slow-path accounting (batches, snapshot updates, sync-evaluator
   /// accept/reject split) plus the last verdict's fidelity gauges
@@ -165,20 +123,11 @@ class userspace_service {
   sync_evaluator evaluator_;
   std::uint64_t version_ = 0;
   adaptation_monitor* monitor_ = nullptr;  ///< non-null only when enabled
-  std::function<bool()> admission_;        ///< empty = always admit
   metrics::counter batches_;
   metrics::counter updates_;
   metrics::counter checks_;
   metrics::counter skip_conv_;
   metrics::counter skip_nec_;
-  metrics::counter deferred_;
-  metrics::counter gate_blocked_;
-  metrics::counter rollbacks_;
-  /// Open probation hold: the module demoted by the last admitted switch,
-  /// retained as the rollback target until the next install closes it out.
-  std::optional<model_id> probation_prev_;
-  std::uint64_t probation_prev_version_ = 0;
-  gate_result last_gate_{};
   metrics::gauge fid_min_;
   metrics::gauge fid_mean_;
   metrics::gauge fid_max_;

@@ -1,6 +1,7 @@
 #include "rt/flight_recorder.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/trace_report.hpp"
 
@@ -68,6 +69,10 @@ void blackbox_ring::clear() noexcept {
 flight_recorder::flight_recorder(const flight_recorder_config& cfg,
                                  std::size_t max_workers)
     : cfg_{cfg} {
+  if (cfg.route_sample_shift >= 64) {
+    throw std::invalid_argument{
+        "flight_recorder_config: route_sample_shift must be < 64"};
+  }
   if (cfg.events_per_ring == 0) return;
   route_mask_ = (std::uint64_t{1} << cfg.route_sample_shift) - 1;
   control_.enable(cfg.events_per_ring);

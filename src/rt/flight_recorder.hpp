@@ -113,6 +113,7 @@ struct flight_recorder_config {
 /// per worker slot, all sized events_per_ring.
 class flight_recorder {
  public:
+  /// Throws std::invalid_argument when cfg.route_sample_shift >= 64.
   flight_recorder(const flight_recorder_config& cfg, std::size_t max_workers);
 
   bool enabled() const noexcept { return control_.enabled(); }

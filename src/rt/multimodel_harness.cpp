@@ -28,7 +28,8 @@
 // least one was admitted after a block, no consistency violation occurred,
 // and no version leaked past the drain.
 //
-// Env knobs:
+// Env knobs (parsed strictly by rt/harness_env.hpp: a malformed or
+// out-of-range value exits 2 before any thread starts):
 //   LF_MM_MODELS   logical models          (default 3, min 2)
 //   LF_MM_WORKERS  router threads          (default 2)
 //   LF_MM_FLOWS    flows per worker/model  (default 256)
@@ -66,6 +67,7 @@
 #include "core/adaptation_monitor.hpp"
 #include "nn/mlp.hpp"
 #include "rt/anomaly_watchdog.hpp"
+#include "rt/harness_env.hpp"
 #include "rt/rt_deployment.hpp"
 #include "rt/stats_sampler.hpp"
 #include "util/bench_report.hpp"
@@ -76,26 +78,6 @@
 namespace {
 
 using namespace lf;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : fallback;
-}
-
-/// Like env_size but an explicit 0 is a real value (telemetry off switches).
-std::size_t env_size0(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const long long n = std::atoll(v);
-  return n >= 0 ? static_cast<std::size_t>(n) : fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
-}
 
 double now_seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -137,28 +119,31 @@ struct worker_outcome {
 }  // namespace
 
 int main() {
-  const std::size_t models = std::max<std::size_t>(env_size("LF_MM_MODELS", 3),
-                                                   2);
-  const std::size_t workers = env_size("LF_MM_WORKERS", 2);
-  const std::size_t flows = env_size("LF_MM_FLOWS", 256);
-  const double shadow_rate = env_double("LF_MM_SHADOW", 0.25);
-  const bool inject_bad = env_size0("LF_RT_INJECT_BAD_SWITCH", 0) != 0;
+  const std::size_t models = rt::env_size("LF_MM_MODELS", 3, 2, 16);
+  const std::size_t workers = rt::env_size("LF_MM_WORKERS", 2, 1, 64);
+  const std::size_t flows = rt::env_size("LF_MM_FLOWS", 256, 1, 65536);
+  const double shadow_rate = rt::env_double("LF_MM_SHADOW", 0.25, 0.0, 1.0);
+  const bool inject_bad = rt::env_flag("LF_RT_INJECT_BAD_SWITCH", false);
+  const bool lat_on = rt::env_flag("LF_RT_LAT", true);
+  const std::size_t lat_shift = rt::env_size("LF_RT_LAT_SHIFT", 0, 0, 63);
+  const std::size_t blackbox =
+      rt::env_size("LF_RT_BLACKBOX", 2048, 0, 1 << 24);
+  const std::size_t probation_windows =
+      rt::env_size("LF_RT_PROBATION_WINDOWS", 100, 1, 1 << 20);
 
   rt::engine_config cfg;
   cfg.models = models;
   cfg.max_workers = workers;
   cfg.l1_slots = 64;
   cfg.shadow.sample_rate = shadow_rate;  // gate stays at its defaults
-  cfg.telemetry.latency = env_size0("LF_RT_LAT", 1) != 0;
-  cfg.telemetry.latency_sample_shift =
-      static_cast<unsigned>(env_size0("LF_RT_LAT_SHIFT", 0));
-  cfg.telemetry.blackbox_events = env_size0("LF_RT_BLACKBOX", 2048);
+  cfg.telemetry.latency = lat_on;
+  cfg.telemetry.latency_sample_shift = static_cast<unsigned>(lat_shift);
+  cfg.telemetry.blackbox_events = blackbox;
   // Stage D needs a probation hold to roll back into; clean runs keep
   // probation off so their artifacts stay byte-identical.  100 windows
   // (10 s at the 100 ms default): detection here is slower than in the
   // stress harness because the degraded net carries only ~1/K of routes.
-  cfg.probation_windows =
-      inject_bad ? env_size("LF_RT_PROBATION_WINDOWS", 100) : 0;
+  cfg.probation_windows = inject_bad ? probation_windows : 0;
   auto engine = rt::build_engine(cfg, rt::rt_deployment::multimodel);
   const core::shadow_config& sh = engine->config().shadow;
 

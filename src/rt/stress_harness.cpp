@@ -18,9 +18,11 @@
 //   phase 4  the full N-thread invariant stress (what the TSan job runs)
 //
 // Exit status is nonzero on any invariant violation (in any phase), on a
-// missed switch target, or on version-lifecycle leaks.
+// missed switch target, on version-lifecycle leaks, or when the main phase
+// routed nothing.
 //
-// Env knobs:
+// Env knobs (parsed strictly by rt/harness_env.hpp: a malformed or
+// out-of-range value exits 2 before any thread starts):
 //   LF_RT_THREADS        main-stress workers            (default 4)
 //   LF_RT_FLOWS          flows per worker               (default 256)
 //   LF_RT_SWITCHES       min snapshot switches          (default 120)
@@ -90,6 +92,7 @@
 #include "codegen/snapshot.hpp"
 #include "nn/mlp.hpp"
 #include "rt/anomaly_watchdog.hpp"
+#include "rt/harness_env.hpp"
 #include "rt/rt_deployment.hpp"
 #include "rt/stats_sampler.hpp"
 #include "util/bench_report.hpp"
@@ -100,36 +103,6 @@
 namespace {
 
 using namespace lf;
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
-}
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const long long n = std::atoll(v);
-  return n >= 0 ? static_cast<std::size_t>(n) : fallback;
-}
-
-std::vector<std::size_t> env_size_list(const char* name,
-                                       const char* fallback) {
-  const char* v = std::getenv(name);
-  const std::string s = v != nullptr ? v : fallback;
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const long long n = std::atoll(tok.c_str());
-    if (n > 0) out.push_back(static_cast<std::size_t>(n));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 bool fast_mode() {
   const char* v = std::getenv("LF_BENCH_FAST");
@@ -565,28 +538,32 @@ stress_stats run_stress(const rt::engine_config& cfg,
 }  // namespace
 
 int main() {
-  const std::size_t threads = env_size("LF_RT_THREADS", 4);
-  const std::size_t flows = env_size("LF_RT_FLOWS", 256);
-  const std::size_t min_switches = env_size("LF_RT_SWITCHES", 120);
-  const double duration = env_double("LF_RT_SECONDS", fast_mode() ? 0.6 : 2.0);
-  const std::size_t shards = env_size("LF_RT_SHARDS", 0);
-  const std::size_t l1_slots = env_size("LF_RT_L1", 64);
-  const std::size_t batch = env_size("LF_RT_BATCH", 8);
+  // Ranges keep every knob meaningful and the run's memory bounded
+  // (each worker tracks models x flows expected generations).
+  const std::size_t threads = rt::env_size("LF_RT_THREADS", 4, 1, 64);
+  const std::size_t flows = rt::env_size("LF_RT_FLOWS", 256, 1, 65536);
+  const std::size_t min_switches =
+      rt::env_size("LF_RT_SWITCHES", 120, 0, 1'000'000'000);
+  const double duration = rt::env_double(
+      "LF_RT_SECONDS", fast_mode() ? 0.6 : 2.0, 0.01, 3600.0);
+  const std::size_t shards = rt::env_size("LF_RT_SHARDS", 0, 0, 65536);
+  const std::size_t l1_slots = rt::env_size("LF_RT_L1", 64, 0, 1 << 20);
+  const std::size_t batch = rt::env_size("LF_RT_BATCH", 8, 0, 1024);
   const std::vector<std::size_t> sweep =
-      env_size_list("LF_RT_SWEEP", "1,2,4,8,16");
-  const double sweep_seconds =
-      env_double("LF_RT_SWEEP_SECONDS", fast_mode() ? 0.15 : 0.5);
-  const std::size_t models = std::max<std::size_t>(env_size("LF_RT_MODELS", 1),
-                                                   1);
-  const double shadow_rate = env_double("LF_RT_SHADOW", 0.0);
-  const bool lat_on = env_size("LF_RT_LAT", 1) != 0;
-  const std::size_t lat_shift = env_size("LF_RT_LAT_SHIFT", 0);
-  const std::size_t blackbox = env_size("LF_RT_BLACKBOX", 4096);
-  const bool inject_stall = env_size("LF_RT_INJECT_STALL", 0) != 0;
-  const bool inject_storm = env_size("LF_RT_INJECT_SWITCH_STORM", 0) != 0;
-  const bool inject_bad = env_size("LF_RT_INJECT_BAD_SWITCH", 0) != 0;
-  const std::size_t probation_windows =
-      env_size("LF_RT_PROBATION_WINDOWS", inject_bad ? 30 : 0);
+      rt::env_size_list("LF_RT_SWEEP", "1,2,4,8,16", 1, 64);
+  const double sweep_seconds = rt::env_double(
+      "LF_RT_SWEEP_SECONDS", fast_mode() ? 0.15 : 0.5, 0.01, 3600.0);
+  const std::size_t models = rt::env_size("LF_RT_MODELS", 1, 1, 16);
+  const double shadow_rate = rt::env_double("LF_RT_SHADOW", 0.0, 0.0, 1.0);
+  const bool lat_on = rt::env_flag("LF_RT_LAT", true);
+  const std::size_t lat_shift = rt::env_size("LF_RT_LAT_SHIFT", 0, 0, 63);
+  const std::size_t blackbox =
+      rt::env_size("LF_RT_BLACKBOX", 4096, 0, 1 << 24);
+  const bool inject_stall = rt::env_flag("LF_RT_INJECT_STALL", false);
+  const bool inject_storm = rt::env_flag("LF_RT_INJECT_SWITCH_STORM", false);
+  const bool inject_bad = rt::env_flag("LF_RT_INJECT_BAD_SWITCH", false);
+  const std::size_t probation_windows = rt::env_size(
+      "LF_RT_PROBATION_WINDOWS", inject_bad ? 30 : 0, 0, 1 << 20);
   const unsigned host_cpus = std::thread::hardware_concurrency();
 
   rt::engine_config cfg;
@@ -974,6 +951,13 @@ int main() {
 
   // ---- verdict ---------------------------------------------------------
   bool ok = true;
+  // A run that routed nothing proves nothing: every other check below
+  // would pass vacuously.
+  if (threads == 0 || total_routes == 0) {
+    std::fprintf(stderr, "FAIL: main phase routed nothing (%zu workers)\n",
+                 threads);
+    ok = false;
+  }
   if (violations != 0) {
     std::fprintf(stderr, "FAIL: %llu flow-consistency violations\n",
                  static_cast<unsigned long long>(violations));

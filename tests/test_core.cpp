@@ -345,6 +345,38 @@ TEST(LiteflowCore, ActiveIoScale) {
   EXPECT_EQ(rig.core.active_io_scale(), 1000);
 }
 
+TEST(LiteflowCore, InstallStandbyUnloadsDisplacedCandidate) {
+  core_rig rig;
+  const auto a = rig.core.register_model(tiny_snapshot("ffnn", 1));
+  const auto b = rig.core.register_model(tiny_snapshot("ffnn", 2));
+  rig.core.install_standby(a);
+  // B displaces A before A was ever switched in: A held only the slot ref,
+  // so it unloads instead of piling up in the manager.
+  rig.core.install_standby(b);
+  EXPECT_EQ(rig.core.manager().get(a), nullptr);
+  EXPECT_NE(rig.core.manager().get(b), nullptr);
+  EXPECT_EQ(rig.core.router().standby(), b);
+  EXPECT_FALSE(rig.core.router().active().has_value());
+  // Re-installing the standby it already holds unloads nothing.
+  rig.core.install_standby(b);
+  EXPECT_NE(rig.core.manager().get(b), nullptr);
+  EXPECT_EQ(rig.core.manager().installed_count(), 1u);
+}
+
+TEST(LiteflowCore, SwitchActiveAdmitsOnlyWithStandby) {
+  core_rig rig;
+  const auto id = rig.core.register_model(tiny_snapshot("ffnn", 1));
+  rig.core.install_standby(id);
+  EXPECT_TRUE(rig.core.switch_active().admitted);
+  EXPECT_EQ(rig.core.router().active(), id);
+  // No standby left: a counted no-op that keeps the active serving.
+  const gate_result noop = rig.core.switch_active();
+  EXPECT_FALSE(noop.admitted);
+  EXPECT_EQ(noop.switch_wait, 0.0);
+  EXPECT_EQ(rig.core.router().active(), id);
+  EXPECT_EQ(rig.core.router().switch_noops(), 1u);
+}
+
 // --------------------------------------------------------------- batches --
 
 TEST(BatchCollector, DeliversOnInterval) {

@@ -379,82 +379,14 @@ TEST(MonitorService, HealthyUpdatesPopulateLedgerWithoutAlerts) {
     EXPECT_GT(rec.freeze_seconds, 0.0);
     EXPECT_GT(rec.compile_seconds, 0.0);
   }
-  // Every demoted predecessor got retired; with a single (or zero) flow
-  // pinned the drain completes immediately at the switch.
+  // Every demoted predecessor got retired and, with no flow pinning it,
+  // unloaded right at the switch: only the current active stays installed.
   for (std::size_t i = 0; i + 1 < mon.ledger().size(); ++i) {
     EXPECT_GE(mon.ledger()[i].retire_time, 0.0);
+    EXPECT_GE(mon.ledger()[i].removed_time, 0.0);
   }
+  EXPECT_EQ(rig.core.manager().installed_count(), 1u);
   EXPECT_EQ(mon.alert_count(alert_kind::adaptation_stuck), 0u);
-}
-
-TEST(MonitorService, ProbationRetainsPrevAndRollbackRePromotes) {
-  // Sim mirror of the rt probation hold: with probation on the service
-  // keeps the displaced module loaded instead of removing it at the
-  // switch, so a post-switch regression can re-promote it.
-  service_rig rig;
-  rig.adapter.drift_per_batch = 0.2;  // steady drift: healthy re-syncs ship
-  adaptation_monitor mon{enabled_config()};
-  rig.core.register_monitor(mon);
-
-  rig.cfg.probation = true;
-  auto svc = rig.make();
-  svc->register_monitor(mon);
-  svc->start();
-  for (int round = 0; round < 6; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
-  ASSERT_GE(svc->snapshot_updates(), 1u);
-
-  // The rollback target is still loaded (the hold), and the suspect is the
-  // active.
-  ASSERT_TRUE(svc->probation_prev().has_value());
-  const model_id prev = *svc->probation_prev();
-  ASSERT_NE(rig.core.manager().get(prev), nullptr);
-  const std::uint64_t prev_version = rig.core.manager().get(prev)->version;
-  const auto regressed = rig.core.router().active(k_default_model);
-  ASSERT_TRUE(regressed.has_value());
-  ASSERT_NE(*regressed, prev);
-
-  const std::size_t gates_before = mon.gates().size();
-  ASSERT_TRUE(svc->rollback_last());
-  EXPECT_EQ(svc->rollbacks(), 1u);
-  // The previous module serves again; the regressed one is closed out.
-  EXPECT_EQ(rig.core.router().active(k_default_model), prev);
-  EXPECT_EQ(rig.core.manager().get(prev)->version, prev_version);
-  // The ledger carries the rollback as a gate record: admitted, flagged,
-  // naming the re-promoted module.
-  ASSERT_EQ(mon.gates().size(), gates_before + 1);
-  const gate_record& g = mon.gates().back();
-  EXPECT_TRUE(g.rollback);
-  EXPECT_TRUE(g.admitted);
-  EXPECT_EQ(g.candidate, prev);
-  EXPECT_EQ(g.version, prev_version);
-  // The hold is consumed: a second rollback is a no-op.
-  EXPECT_FALSE(svc->probation_prev().has_value());
-  EXPECT_FALSE(svc->rollback_last());
-  EXPECT_EQ(svc->rollbacks(), 1u);
-}
-
-TEST(MonitorService, ProbationOffKeepsImmediateRemovalAndNoRollback) {
-  service_rig rig;
-  rig.adapter.drift_per_batch = 0.2;
-  adaptation_monitor mon{enabled_config()};
-  rig.core.register_monitor(mon);
-
-  auto svc = rig.make();  // cfg.probation stays false: historical behavior
-  svc->register_monitor(mon);
-  svc->start();
-  for (int round = 0; round < 6; ++round) {
-    rig.feed_samples(8);
-    rig.s.run_until(0.1 * (round + 1) + 0.05);
-  }
-  ASSERT_GE(svc->snapshot_updates(), 1u);
-  // No hold was ever kept, so there is nothing to roll back into.
-  EXPECT_FALSE(svc->probation_prev().has_value());
-  EXPECT_FALSE(svc->rollback_last());
-  EXPECT_EQ(svc->rollbacks(), 0u);
-  for (const gate_record& g : mon.gates()) EXPECT_FALSE(g.rollback);
 }
 
 // ------------------------------------------------------------ end to end --

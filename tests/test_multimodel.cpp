@@ -1,8 +1,8 @@
 // Multi-model serving domain tests: the composite flow key and model
 // registry, the deterministic shadow sampler/scorer, the multi-model
-// inference router and liteflow_core shadow gate, training admission under
-// kernelsim CPU saturation (service_mux), and the rt engine's multi-model +
-// shadow-gated switching behavior.
+// inference router, userspace services adapting distinct logical models
+// behind one liteflow_core, and the rt engine's multi-model + shadow-gated
+// switching behavior.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,13 +10,11 @@
 #include <set>
 #include <vector>
 
-#include "core/adaptation_monitor.hpp"
 #include "core/batch_collector.hpp"
 #include "core/inference_router.hpp"
 #include "core/liteflow_core.hpp"
 #include "core/model_domain.hpp"
 #include "core/nn_manager.hpp"
-#include "core/service_mux.hpp"
 #include "core/userspace_service.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
@@ -215,142 +213,13 @@ TEST(MultiModelRouter, SharedCacheBindsPerModelAndFlow) {
   EXPECT_EQ(rig.r.route(1, 42), b2);
 }
 
-// ---------------------------------------------------- LiteflowCoreShadow --
+// ------------------------------------------------------- MultiModelService --
 
-struct core_rig {
-  sim::simulation s;
-  kernelsim::cost_model costs;
-  kernelsim::cpu_model cpu{s};
-  liteflow_core core{s, cpu, costs};
-
-  model_id deploy(model_key m, const std::string& name, std::uint64_t version,
-                  std::uint64_t seed) {
-    const auto id = core.register_model(tiny_snapshot(name, version, seed));
-    core.install_standby(m, id);
-    core.switch_active(m);
-    return id;
-  }
-};
-
-TEST(LiteflowCoreShadow, RateZeroMeansZeroShadowWork) {
-  core_rig rig;
-  rig.deploy(0, "a", 1, 5);
-  const auto standby = rig.core.register_model(tiny_snapshot("a", 2, 6));
-  rig.core.install_standby(0, standby);
-  const std::vector<fp::s64> input(8, 100);
-  for (netsim::flow_id_t f = 1; f <= 64; ++f) {
-    EXPECT_FALSE(rig.core.query_model_sync(0, f, input).empty());
-  }
-  // Default config: no sampling hash ever fires, no standby inference runs.
-  EXPECT_EQ(rig.core.shadow_inferences(), 0u);
-  EXPECT_EQ(rig.core.shadow_evidence(0).samples, 0u);
-}
-
-TEST(LiteflowCoreShadow, EvidenceIsDeterministicAcrossRuns) {
-  shadow_config sh;
-  sh.sample_rate = 0.5;
-  const auto run = [&](core_rig& rig) {
-    rig.core.set_shadow_config(sh);
-    rig.deploy(0, "a", 1, 5);
-    const auto standby = rig.core.register_model(tiny_snapshot("a", 2, 99));
-    rig.core.install_standby(0, standby);
-    const std::vector<fp::s64> input(8, 100);
-    std::set<netsim::flow_id_t> sampled;
-    for (netsim::flow_id_t f = 1; f <= 128; ++f) {
-      const auto before = rig.core.shadow_inferences();
-      rig.core.query_model_sync(0, f, input);
-      if (rig.core.shadow_inferences() > before) sampled.insert(f);
-    }
-    return std::pair{sampled, rig.core.shadow_evidence(0)};
-  };
-  core_rig rig1, rig2;
-  const auto [set1, v1] = run(rig1);
-  const auto [set2, v2] = run(rig2);
-  EXPECT_FALSE(set1.empty());
-  EXPECT_EQ(set1, set2);  // identical sampled route set
-  EXPECT_EQ(v1.samples, v2.samples);
-  EXPECT_DOUBLE_EQ(v1.mean_divergence, v2.mean_divergence);
-  EXPECT_DOUBLE_EQ(v1.max_divergence, v2.max_divergence);
-}
-
-TEST(LiteflowCoreShadow, GateBlocksDriftThenAdmitsRetrain) {
-  core_rig rig;
-  core::monitor_config mc;
-  mc.enabled = true;
-  core::adaptation_monitor mon{mc};
-  rig.core.register_monitor(mon);
-  shadow_config sh;
-  sh.sample_rate = 1.0;
-  sh.min_samples = 16;
-  rig.core.set_shadow_config(sh);
-
-  // Bootstrap: no incumbent, the gate has no jurisdiction.
-  const auto v1 = rig.core.register_model(tiny_snapshot("a", 1, 5));
-  rig.core.install_standby(0, v1);
-  const gate_result boot = rig.core.switch_active(0);
-  EXPECT_TRUE(boot.admitted);
-  EXPECT_FALSE(boot.gate_blocked);
-
-  const std::vector<fp::s64> input(8, 100);
-  // Drifted candidate: different weights, divergence blows the threshold.
-  const auto v2 = rig.core.register_model(tiny_snapshot("a", 2, 1234));
-  rig.core.install_standby(0, v2);
-  for (netsim::flow_id_t f = 1; f <= 32; ++f) {
-    rig.core.query_model_sync(0, f, input);
-  }
-  const gate_result blocked = rig.core.switch_active(0);
-  EXPECT_FALSE(blocked.admitted);
-  EXPECT_TRUE(blocked.gate_blocked);
-  EXPECT_GT(blocked.verdict.mean_divergence, sh.divergence_threshold);
-  EXPECT_EQ(rig.core.router().active(0), v1);  // incumbent kept serving
-  EXPECT_EQ(rig.core.gate_blocks(), 1u);
-
-  // Retrained candidate reproduces the active's behavior: divergence 0.
-  const auto v3 = rig.core.register_model(tiny_snapshot("a", 3, 5));
-  rig.core.install_standby(0, v3);
-  for (netsim::flow_id_t f = 100; f <= 131; ++f) {
-    rig.core.query_model_sync(0, f, input);
-  }
-  const gate_result admitted = rig.core.switch_active(0);
-  EXPECT_TRUE(admitted.admitted);
-  EXPECT_DOUBLE_EQ(admitted.verdict.max_divergence, 0.0);
-  EXPECT_EQ(rig.core.router().active(0), v3);
-
-  // Both rulings landed in the monitor's gate ledger, in order.
-  ASSERT_EQ(mon.gates().size(), 2u);
-  EXPECT_FALSE(mon.gates()[0].admitted);
-  EXPECT_TRUE(mon.gates()[1].admitted);
-  EXPECT_EQ(mon.gates()[0].logical_model, 0u);
-}
-
-TEST(LiteflowCoreShadow, UnprovenStandbyIsBlockedUntilMeasured) {
-  core_rig rig;
-  shadow_config sh;
-  sh.sample_rate = 1.0;
-  sh.min_samples = 8;
-  rig.core.set_shadow_config(sh);
-  rig.deploy(1, "b", 1, 5);
-  const auto v2 = rig.core.register_model(tiny_snapshot("b", 2, 5));
-  rig.core.install_standby(1, v2);
-  // Identical weights — but zero samples means unproven, and unproven is
-  // blocked, not admitted.
-  const gate_result unproven = rig.core.switch_active(1);
-  EXPECT_TRUE(unproven.gate_blocked);
-  EXPECT_EQ(unproven.verdict.samples, 0u);
-  const std::vector<fp::s64> input(8, 100);
-  for (netsim::flow_id_t f = 1; f <= 8; ++f) {
-    rig.core.query_model_sync(1, f, input);
-  }
-  EXPECT_TRUE(rig.core.switch_active(1).admitted);
-}
-
-// -------------------------------------------------------------- ServiceMux --
-
-/// Minimal scripted adapter (mirrors test_core's stub, trimmed to what the
-/// admission tests need).
-class mux_adapter final : public adaptation_interface {
+/// Minimal scripted adapter (mirrors test_core's stub, trimmed to what a
+/// bootstrap deployment needs).
+class stub_adapter final : public adaptation_interface {
  public:
-  mux_adapter() {
+  stub_adapter() {
     rng g{11};
     model_ = std::make_unique<nn::mlp>(nn::make_ffnn_flow_size_net(g));
   }
@@ -361,119 +230,45 @@ class mux_adapter final : public adaptation_interface {
   std::vector<double> evaluate(std::span<const double> x) const override {
     return model_->forward(x);
   }
-  void adapt(std::span<const core::train_sample> batch) override {
-    ++adapt_calls;
-    (void)batch;
-  }
+  void adapt(std::span<const core::train_sample>) override {}
   std::size_t parameter_count() const override {
     return model_->parameter_count();
   }
   std::unique_ptr<nn::mlp> model_;
-  int adapt_calls = 0;
 };
 
-struct mux_rig {
+struct service_rig {
   sim::simulation s;
   kernelsim::cost_model costs;
   kernelsim::cpu_model cpu{s};
   kernelsim::crossspace_channel netlink{s, cpu, costs,
                                         kernelsim::channel_kind::netlink};
   liteflow_core core{s, cpu, costs};
-  batch_collector lo_collector{s, netlink, batch_collector_config{}};
-  batch_collector hi_collector{s, netlink, batch_collector_config{}};
-  mux_adapter lo_adapter, hi_adapter;
+  batch_collector a_collector{s, netlink, batch_collector_config{}};
+  batch_collector b_collector{s, netlink, batch_collector_config{}};
+  stub_adapter a_adapter, b_adapter;
 
-  service_config make_cfg(const char* name, model_key m, int priority) {
+  static service_config make_cfg(const char* name, model_key m) {
     service_config cfg;
     cfg.model_name = name;
     cfg.model = m;
-    cfg.priority = priority;
     cfg.sync.output_min = 0.0;
     cfg.sync.output_max = 1.0;
     cfg.sync.stability_window = 2;
     return cfg;
   }
-
-  static void feed(batch_collector& c, int n) {
-    for (int i = 0; i < n; ++i) {
-      c.collect({std::vector<double>(8, 0.1), {0.5}, 0.0});
-    }
-  }
 };
 
-TEST(ServiceMux, SaturationShedsLowPriorityTraining) {
-  mux_rig rig;
-  userspace_service lo{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.lo_collector,
-                       rig.lo_adapter, rig.make_cfg("lo", 0, 0)};
-  userspace_service hi{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.hi_collector,
-                       rig.hi_adapter, rig.make_cfg("hi", 1, 1)};
-  service_mux mux{rig.s, rig.cpu, mux_config{}};
-  mux.attach(lo);
-  mux.attach(hi);
-  lo.start();
-  hi.start();
-  EXPECT_FALSE(mux.saturated());
-  // Admission reads the CPU backlog when the delivery softirq *completes*,
-  // and delivery rides the same FIFO CPU — so pre-loading the queue would
-  // only delay the batches past the saturation.  Instead: a 0.12s task
-  // spans the t=0.1 delivery enqueue, and its completion hook queues 10s of
-  // work *behind* the already-queued deliveries.  Each on_batch then sees
-  // that backlog at admission time.
-  rig.cpu.submit(kernelsim::task_category::other, 0.12, [&rig]() {
-    rig.cpu.submit(kernelsim::task_category::other, 10.0);
-  });
-  mux_rig::feed(rig.lo_collector, 10);
-  mux_rig::feed(rig.hi_collector, 10);
-  rig.s.run_until(0.5);
-  // Only the top priority class kept its training budget; lo's batch was
-  // shed at admission (load shedding, not queueing).
-  EXPECT_EQ(lo.deferred_batches(), 1u);
-  EXPECT_EQ(hi.deferred_batches(), 0u);
-  EXPECT_GE(mux.deferred(), 1u);
-  EXPECT_GE(mux.admitted(), 1u);
-  EXPECT_EQ(rig.lo_adapter.adapt_calls, 0);
-  // hi's training was admitted but queues behind the saturating work (the
-  // CPU is FIFO); once the backlog drains it runs — lo's never does.
-  EXPECT_EQ(rig.hi_adapter.adapt_calls, 0);
-  rig.s.run_until(25.0);
-  EXPECT_EQ(rig.hi_adapter.adapt_calls, 1);
-  EXPECT_EQ(rig.lo_adapter.adapt_calls, 0);
-}
-
-TEST(ServiceMux, UnsaturatedCpuAdmitsEveryClass) {
-  mux_rig rig;
-  userspace_service lo{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.lo_collector,
-                       rig.lo_adapter, rig.make_cfg("lo", 0, 0)};
-  userspace_service hi{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.hi_collector,
-                       rig.hi_adapter, rig.make_cfg("hi", 1, 1)};
-  service_mux mux{rig.s, rig.cpu, mux_config{}};
-  mux.attach(lo);
-  mux.attach(hi);
-  lo.start();
-  hi.start();
-  mux_rig::feed(rig.lo_collector, 10);
-  mux_rig::feed(rig.hi_collector, 10);
-  rig.s.run_until(0.3);
-  EXPECT_EQ(rig.lo_adapter.adapt_calls, 1);
-  EXPECT_EQ(rig.hi_adapter.adapt_calls, 1);
-  EXPECT_EQ(lo.deferred_batches(), 0u);
-  EXPECT_EQ(mux.deferred(), 0u);
-}
-
-TEST(ServiceMux, ServicesRunDistinctModelLifecycles) {
-  mux_rig rig;
-  userspace_service lo{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.lo_collector,
-                       rig.lo_adapter, rig.make_cfg("lo", 0, 0)};
-  userspace_service hi{rig.s,  rig.cpu,          rig.costs,
-                       rig.netlink, rig.core,    rig.hi_collector,
-                       rig.hi_adapter, rig.make_cfg("hi", 1, 1)};
-  lo.start();
-  hi.start();
+TEST(MultiModelService, ServicesRunDistinctModelLifecycles) {
+  service_rig rig;
+  userspace_service a{rig.s,       rig.cpu,  rig.costs,
+                      rig.netlink, rig.core, rig.a_collector,
+                      rig.a_adapter, service_rig::make_cfg("a", 0)};
+  userspace_service b{rig.s,       rig.cpu,  rig.costs,
+                      rig.netlink, rig.core, rig.b_collector,
+                      rig.b_adapter, service_rig::make_cfg("b", 1)};
+  a.start();
+  b.start();
   rig.s.run_until(0.05);
   // Each service bootstraps its own logical model behind the shared core.
   ASSERT_TRUE(rig.core.router().active(0).has_value());

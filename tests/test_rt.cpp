@@ -1131,6 +1131,29 @@ TEST(RtFlightRecorder, RingOverwritesOldestAndDecodesInOrder) {
   EXPECT_TRUE(r.enabled());  // clear resets contents, not capacity
 }
 
+TEST(RtFlightRecorder, RouteSampleShiftOf64IsRejected) {
+  // 1 << 64 is undefined; the recorder must refuse the shift rather than
+  // build its route mask from it.
+  rt::flight_recorder_config rc;
+  rc.events_per_ring = 4;
+  rc.route_sample_shift = 64;
+  EXPECT_THROW((rt::flight_recorder{rc, 1}), std::invalid_argument);
+  rc.route_sample_shift = 63;
+  const rt::flight_recorder ok{rc, 1};
+  EXPECT_EQ(ok.route_sample_mask(), (std::uint64_t{1} << 63) - 1);
+
+  // The engine forwards its telemetry knob unchanged.
+  rt::engine_config cfg;
+  cfg.max_workers = 1;
+  cfg.telemetry.blackbox_events = 16;
+  cfg.telemetry.blackbox_route_shift = 64;
+  EXPECT_THROW((rt::datapath_engine{cfg}), std::invalid_argument);
+  cfg.telemetry.blackbox_route_shift = 63;
+  rt::datapath_engine e{cfg};
+  ASSERT_NE(e.recorder(), nullptr);
+  EXPECT_EQ(e.recorder()->route_sample_mask(), (std::uint64_t{1} << 63) - 1);
+}
+
 TEST(RtFlightRecorder, ViolationDumpIsParseableAndKeepsTheFlowsLastEvents) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "lf_blackbox_unit";
