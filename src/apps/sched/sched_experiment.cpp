@@ -1,8 +1,6 @@
 #include "apps/sched/sched_experiment.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -318,7 +316,6 @@ class sched_fct_experiment final : public experiment {
                          ? d.tracker.features(ap.src, ap.dst, simu.now())
                          : std::vector<double>{};
     d.tracker.on_flow_start(ap.src, ap.dst, simu.now());
-    if (std::getenv("LF_DEBUG_FEATURES") && flow->features.size() == 8) { fprintf(stderr, "feat %zu->%zu: %.3f %.3f %.3f %.3f %.3f %.3f %.3f %.3f\n", ap.src, ap.dst, flow->features[0], flow->features[1], flow->features[2], flow->features[3], flow->features[4], flow->features[5], flow->features[6], flow->features[7]); }
 
     live_flow* f = flow.get();
     flows_.push_back(std::move(flow));

@@ -1,42 +1,9 @@
 #include "nn/activation.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace lf::nn {
-
-double activate(activation a, double x) noexcept {
-  switch (a) {
-    case activation::linear:
-      return x;
-    case activation::relu:
-      return x > 0.0 ? x : 0.0;
-    case activation::tanh_act:
-      return std::tanh(x);
-    case activation::sigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
-  }
-  return x;
-}
-
-double activate_grad(activation a, double x) noexcept {
-  switch (a) {
-    case activation::linear:
-      return 1.0;
-    case activation::relu:
-      return x > 0.0 ? 1.0 : 0.0;
-    case activation::tanh_act: {
-      const double t = std::tanh(x);
-      return 1.0 - t * t;
-    }
-    case activation::sigmoid: {
-      const double s = 1.0 / (1.0 + std::exp(-x));
-      return s * (1.0 - s);
-    }
-  }
-  return 1.0;
-}
 
 std::string_view to_string(activation a) noexcept {
   switch (a) {

@@ -31,19 +31,26 @@ class dense_layer {
   std::size_t output_size() const noexcept { return out_; }
   activation act() const noexcept { return act_; }
 
-  /// y = act(Wx + b). pre (optional) receives the pre-activation Wx + b for
-  /// use by backward(); pass {} to skip.
+  /// y = act(Wx + b). pre (optional) receives the pre-activation Wx + b;
+  /// pass {} to skip.
   void forward(std::span<const double> x, std::span<double> y,
                std::span<double> pre) const;
 
-  /// Backpropagate grad_y (dL/dy) through this layer.
-  ///   - x: the input used in forward
-  ///   - pre: the cached pre-activation
-  ///   - grad_x: receives dL/dx (may be empty for the first layer)
-  ///   - grad_w/grad_b: accumulated (+=) parameter gradients
-  void backward(std::span<const double> x, std::span<const double> pre,
-                std::span<const double> grad_y, std::span<double> grad_x,
-                std::span<double> grad_w, std::span<double> grad_b) const;
+  // The kernels of mlp's tape path.  They check nothing: x has
+  // input_size() doubles, pre/y/grad_y output_size(), grad_x input_size()
+  // (or null), grad_w/grad_b weights()/biases() sizes; mlp checks once at
+  // its public entry points.
+
+  /// pre = Wx + b (skipped when null), y = act(pre).  Each row sums b, then
+  /// w[0]x[0], w[1]x[1], ... in that order.
+  void forward_into(const double* x, double* pre, double* y) const noexcept;
+
+  /// Backpropagate grad_y (dL/dy) given the forward pass's x, pre and y:
+  /// grad_w/grad_b accumulate (+=), grad_x (if non-null) is overwritten
+  /// with dL/dx.  No two of the seven buffers may overlap.
+  void backward_into(const double* x, const double* pre, const double* y,
+                     const double* grad_y, double* grad_x, double* grad_w,
+                     double* grad_b) const noexcept;
 
   /// weight(i, j): weight from input j to output i.
   double weight(std::size_t i, std::size_t j) const {

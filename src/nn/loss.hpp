@@ -19,4 +19,8 @@ double loss_value(loss_kind k, std::span<const double> pred,
 std::vector<double> loss_gradient(loss_kind k, std::span<const double> pred,
                                   std::span<const double> target);
 
+/// dL/dpred for one sample, written into `out` (pred.size() doubles).
+void loss_gradient(loss_kind k, std::span<const double> pred,
+                   std::span<const double> target, std::span<double> out);
+
 }  // namespace lf::nn

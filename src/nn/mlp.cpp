@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -34,63 +35,101 @@ std::size_t mlp::output_size() const noexcept {
   return layers_.back().output_size();
 }
 
-std::vector<double> mlp::forward(std::span<const double> x) const {
+std::size_t mlp::tape_size() const noexcept {
+  std::size_t n = input_size_;
+  for (const auto& layer : layers_) n += 2 * layer.output_size();
+  return n;
+}
+
+std::size_t mlp::backward_scratch_size() const noexcept {
+  // Two ping-pong dL/dx buffers; the first layer's dL/dx is never needed.
+  std::size_t widest = 0;
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    widest = std::max(widest, layers_[i].input_size());
+  }
+  return 2 * widest;
+}
+
+std::span<const double> mlp::forward_tape(std::span<const double> x,
+                                          std::span<double> tape) const {
   if (x.size() != input_size_) {
-    throw std::invalid_argument{"mlp::forward input size mismatch"};
+    throw std::invalid_argument{"mlp::forward_tape input size mismatch"};
   }
-  std::vector<double> cur(x.begin(), x.end());
-  std::vector<double> next;
+  if (tape.size() != tape_size()) {
+    throw std::invalid_argument{"mlp::forward_tape tape size mismatch"};
+  }
+  std::copy(x.begin(), x.end(), tape.begin());
+  const double* in = tape.data();
+  double* pre = tape.data() + input_size_;
   for (const auto& layer : layers_) {
-    next.assign(layer.output_size(), 0.0);
-    layer.forward(cur, next, {});
-    cur.swap(next);
+    double* y = pre + layer.output_size();
+    layer.forward_into(in, pre, y);
+    in = y;
+    pre = y + layer.output_size();
   }
-  return cur;
+  return tape.last(output_size());
+}
+
+std::span<const double> mlp::tape_output(std::span<const double> tape) const {
+  if (tape.size() != tape_size()) {
+    throw std::invalid_argument{"mlp::tape_output tape size mismatch"};
+  }
+  return tape.last(output_size());
+}
+
+void mlp::backward_tape(std::span<const double> tape,
+                        std::span<const double> grad_out,
+                        std::span<double> grad,
+                        std::span<double> scratch) const {
+  if (tape.size() != tape_size()) {
+    throw std::invalid_argument{"mlp::backward_tape tape size mismatch"};
+  }
+  if (grad_out.size() != output_size()) {
+    throw std::invalid_argument{"mlp::backward_tape grad_out size mismatch"};
+  }
+  if (grad.size() != parameter_count()) {
+    throw std::invalid_argument{"mlp::backward_tape grad size mismatch"};
+  }
+  const std::size_t half = backward_scratch_size() / 2;
+  if (scratch.size() < 2 * half) {
+    throw std::invalid_argument{"mlp::backward_tape scratch too small"};
+  }
+  // Walk the tape and the flat gradient from their ends: layer li's output
+  // ends where layer li+1's pre-activation begins, and its input sits just
+  // before its pre-activation.
+  const double* end = tape.data() + tape.size();
+  double* grad_end = grad.data() + grad.size();
+  const double* grad_y = grad_out.data();
+  for (std::size_t li = layers_.size(); li-- > 0;) {
+    const auto& layer = layers_[li];
+    const double* y = end - layer.output_size();
+    const double* pre = y - layer.output_size();
+    const double* x = pre - layer.input_size();
+    double* grad_b = grad_end - layer.biases().size();
+    double* grad_w = grad_b - layer.weights().size();
+    double* grad_x = li == 0 ? nullptr : scratch.data() + (li % 2) * half;
+    layer.backward_into(x, pre, y, grad_y, grad_x, grad_w, grad_b);
+    grad_y = grad_x;
+    end = pre;
+    grad_end = grad_w;
+  }
+}
+
+std::vector<double> mlp::forward(std::span<const double> x) const {
+  std::vector<double> tape(tape_size());
+  const auto y = forward_tape(x, tape);
+  return {y.begin(), y.end()};
 }
 
 std::vector<double> mlp::accumulate_gradient(std::span<const double> x,
                                              std::span<const double> grad_out,
                                              std::span<double> grad) const {
-  if (grad.size() != parameter_count()) {
-    throw std::invalid_argument{"mlp::accumulate_gradient grad size mismatch"};
-  }
-  // Forward pass caching activations and pre-activations per layer.
-  std::vector<std::vector<double>> acts;   // acts[0] = input, acts[i] = layer i-1 output
-  std::vector<std::vector<double>> pres;   // pres[i] = layer i pre-activation
-  acts.reserve(layers_.size() + 1);
-  pres.reserve(layers_.size());
-  acts.emplace_back(x.begin(), x.end());
-  for (const auto& layer : layers_) {
-    pres.emplace_back(layer.output_size(), 0.0);
-    std::vector<double> out(layer.output_size(), 0.0);
-    layer.forward(acts.back(), out, pres.back());
-    acts.push_back(std::move(out));
-  }
-  if (grad_out.size() != layers_.back().output_size()) {
-    throw std::invalid_argument{"mlp::accumulate_gradient grad_out mismatch"};
-  }
-  // Backward pass.
-  std::vector<double> grad_cur(grad_out.begin(), grad_out.end());
-  std::vector<double> grad_prev;
-  // Locate each layer's slice inside the flat grad vector.
-  std::vector<std::size_t> offsets(layers_.size());
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    offsets[i] = off;
-    off += layers_[i].param_count();
-  }
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    const auto& layer = layers_[li];
-    grad_prev.assign(layer.input_size(), 0.0);
-    auto gw = grad.subspan(offsets[li], layer.weights().size());
-    auto gb = grad.subspan(offsets[li] + layer.weights().size(),
-                           layer.biases().size());
-    layer.backward(acts[li], pres[li], grad_cur,
-                   li == 0 ? std::span<double>{} : std::span<double>{grad_prev},
-                   gw, gb);
-    grad_cur.swap(grad_prev);
-  }
-  return acts.back();
+  std::vector<double> buf(tape_size() + backward_scratch_size());
+  const auto tape = std::span<double>{buf}.first(tape_size());
+  const auto y = forward_tape(x, tape);
+  backward_tape(tape, grad_out, grad,
+                std::span<double>{buf}.subspan(tape.size()));
+  return {y.begin(), y.end()};
 }
 
 std::vector<double> mlp::parameters() const {

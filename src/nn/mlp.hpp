@@ -38,13 +38,44 @@ class mlp {
   const dense_layer& layer(std::size_t i) const { return layers_.at(i); }
   dense_layer& layer(std::size_t i) { return layers_.at(i); }
 
+  // Forward/backward on a caller-owned tape.  A tape is one flat buffer per
+  // sample: the input, then each layer's pre-activation and output, in
+  // layer order:
+  //   [x | pre_0 | y_0 | pre_1 | y_1 | ... | pre_L-1 | y_L-1]
+  // backward_tape reads everything it needs from the tape, so a sample
+  // costs one forward and one backward however many times its output is
+  // read in between (see DESIGN.md §16).
+
+  /// Doubles one tape holds: input_size() + 2 * (sum of layer outputs).
+  std::size_t tape_size() const noexcept;
+
+  /// Doubles of scratch backward_tape needs.
+  std::size_t backward_scratch_size() const noexcept;
+
+  /// Records the forward pass of x on `tape` (exactly tape_size() doubles)
+  /// and returns the output, a view into the tape's tail.
+  std::span<const double> forward_tape(std::span<const double> x,
+                                       std::span<double> tape) const;
+
+  /// The output a tape recorded (its last output_size() doubles).
+  std::span<const double> tape_output(std::span<const double> tape) const;
+
+  /// Accumulates (+=) into grad the parameter gradient of the loss whose
+  /// output gradient is grad_out (dL/dy), for the sample recorded on tape.
+  /// No forward pass.  scratch holds at least backward_scratch_size()
+  /// doubles; grad may not overlap tape, grad_out or scratch, nor scratch
+  /// overlap grad_out.
+  void backward_tape(std::span<const double> tape,
+                     std::span<const double> grad_out, std::span<double> grad,
+                     std::span<double> scratch) const;
+
   /// Inference: returns the output vector.
   std::vector<double> forward(std::span<const double> x) const;
 
-  /// Backpropagation for a single sample.  Runs forward internally, then
-  /// accumulates (+=) parameter gradients for the loss whose output gradient
-  /// is grad_out (dL/dy).  Returns the forward output (useful when the
-  /// caller computes grad_out from it in two passes).
+  /// Backpropagation for a single sample: forward_tape + backward_tape on
+  /// a temporary tape.  Accumulates (+=) parameter gradients for the loss
+  /// whose output gradient is grad_out (dL/dy) and returns the forward
+  /// output.
   std::vector<double> accumulate_gradient(std::span<const double> x,
                                           std::span<const double> grad_out,
                                           std::span<double> grad) const;

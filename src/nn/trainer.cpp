@@ -15,12 +15,15 @@ train_report supervised_trainer::train_batch(
     std::span<const training_sample> batch) {
   if (batch.empty()) return {};
   std::vector<double> grad(model_.parameter_count(), 0.0);
+  tape_.resize(model_.tape_size());
+  grad_out_.resize(model_.output_size());
+  scratch_.resize(model_.backward_scratch_size());
   double total_loss = 0.0;
   for (const auto& sample : batch) {
-    const auto pred = model_.forward(sample.input);
+    const auto pred = model_.forward_tape(sample.input, tape_);
     total_loss += loss_value(loss_, pred, sample.target);
-    const auto grad_out = loss_gradient(loss_, pred, sample.target);
-    model_.accumulate_gradient(sample.input, grad_out, grad);
+    loss_gradient(loss_, pred, sample.target, grad_out_);
+    model_.backward_tape(tape_, grad_out_, grad, scratch_);
   }
   const double inv_n = 1.0 / static_cast<double>(batch.size());
   for (auto& g : grad) g *= inv_n;

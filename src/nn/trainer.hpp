@@ -41,6 +41,11 @@ class supervised_trainer {
   loss_kind loss_;
   std::unique_ptr<optimizer> opt_;
   double grad_clip_;
+  // Per-sample buffers reused across samples and batches: the forward tape,
+  // dL/dy, and backward_tape's scratch.
+  std::vector<double> tape_;
+  std::vector<double> grad_out_;
+  std::vector<double> scratch_;
 };
 
 }  // namespace lf::nn

@@ -12,35 +12,41 @@ pg_trainer::pg_trainer(nn::mlp& net, env& environment, pg_config config,
 
 iteration_report pg_trainer::iterate() {
   auto& net = policy_.net();
+  const std::size_t tape_n = net.tape_size();
+  const std::size_t action_n = net.output_size();
   std::vector<double> grad(net.parameter_count(), 0.0);
+  scratch_.resize(policy_.scratch_size());
   double reward_sum = 0.0;
   std::size_t step_count = 0;
 
-  struct step_record {
-    std::vector<double> obs;
-    std::vector<double> action;
-    double reward;
-  };
-
   for (std::size_t ep = 0; ep < config_.episodes_per_iteration; ++ep) {
-    std::vector<step_record> episode;
+    // Rollout: one forward per step, recorded on the step's tape.
+    rewards_.clear();
     auto obs = env_.reset();
     bool done = false;
     while (!done) {
-      auto action = policy_.act_sample(obs, gen_);
+      const std::size_t t = rewards_.size();
+      tapes_.resize(std::max(tapes_.size(), (t + 1) * tape_n));
+      actions_.resize(std::max(actions_.size(), (t + 1) * action_n));
+      const auto action = std::span<double>{actions_}.subspan(t * action_n,
+                                                              action_n);
+      policy_.act_sample_tape(
+          obs, std::span<double>{tapes_}.subspan(t * tape_n, tape_n), action,
+          gen_);
       auto result = env_.step(action);
-      episode.push_back({obs, std::move(action), result.reward});
+      rewards_.push_back(result.reward);
       reward_sum += result.reward;
       ++step_count;
       obs = std::move(result.observation);
       done = result.done;
     }
+    const std::size_t steps = rewards_.size();
     // Reward-to-go returns.
-    std::vector<double> returns(episode.size());
+    returns_.resize(steps);
     double running = 0.0;
-    for (std::size_t t = episode.size(); t-- > 0;) {
-      running = episode[t].reward + config_.gamma * running;
-      returns[t] = running;
+    for (std::size_t t = steps; t-- > 0;) {
+      running = rewards_[t] + config_.gamma * running;
+      returns_[t] = running;
       // Update the running baseline (EWMA over returns).
       if (!baseline_init_) {
         baseline_ = running;
@@ -49,11 +55,14 @@ iteration_report pg_trainer::iterate() {
         baseline_ = 0.99 * baseline_ + 0.01 * running;
       }
     }
-    for (std::size_t t = 0; t < episode.size(); ++t) {
-      const double advantage = returns[t] - baseline_;
+    // Gradient pass: backward only, from each step's tape, in t order.
+    for (std::size_t t = 0; t < steps; ++t) {
+      const double advantage = returns_[t] - baseline_;
       // Descent on -advantage * log pi == ascent on expected return.
-      policy_.accumulate_logprob_gradient(episode[t].obs, episode[t].action,
-                                          -advantage, grad);
+      policy_.accumulate_logprob_gradient_tape(
+          std::span<const double>{tapes_}.subspan(t * tape_n, tape_n),
+          std::span<const double>{actions_}.subspan(t * action_n, action_n),
+          -advantage, grad, scratch_);
     }
   }
 

@@ -63,6 +63,14 @@ class pg_trainer {
   double last_reward_ = 0.0;
   std::size_t iterations_ = 0;
   std::deque<double> reward_history_;
+  // One episode's rollout, reused across episodes and iterations: step t's
+  // forward tape, sampled action and reward, the reward-to-go returns, and
+  // the gradient pass's scratch.
+  std::vector<double> tapes_;
+  std::vector<double> actions_;
+  std::vector<double> rewards_;
+  std::vector<double> returns_;
+  std::vector<double> scratch_;
 };
 
 }  // namespace lf::rl

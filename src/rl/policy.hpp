@@ -30,6 +30,26 @@ class gaussian_policy {
                                    std::span<const double> action, double scale,
                                    std::span<double> grad) const;
 
+  // The same two steps on a caller-owned tape (nn::mlp::forward_tape): the
+  // sample's forward pass is recorded once and the gradient pass runs
+  // backward only.  The wrappers above run them on a temporary tape.
+
+  /// Records the forward pass of obs on `tape` (net().tape_size() doubles)
+  /// and writes mean + N(0, sigma^2) noise, one draw per dimension in
+  /// order, into `action` (net().output_size() doubles).
+  void act_sample_tape(std::span<const double> obs, std::span<double> tape,
+                       std::span<double> action, rng& gen) const;
+
+  /// accumulate_logprob_gradient for the sample recorded on `tape`, with
+  /// scratch of at least scratch_size() doubles.
+  void accumulate_logprob_gradient_tape(std::span<const double> tape,
+                                        std::span<const double> action,
+                                        double scale, std::span<double> grad,
+                                        std::span<double> scratch) const;
+
+  /// Doubles of scratch accumulate_logprob_gradient_tape needs.
+  std::size_t scratch_size() const noexcept;
+
   double sigma() const noexcept { return sigma_; }
   void set_sigma(double sigma);
   nn::mlp& net() noexcept { return net_; }

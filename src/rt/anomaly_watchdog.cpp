@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "rt/harness_env.hpp"
 #include "util/bench_report.hpp"
 
 namespace lf::rt {
@@ -25,23 +25,15 @@ std::string_view to_string(anomaly_kind k) noexcept {
 
 watchdog_config watchdog_config_from_env() {
   watchdog_config cfg;
-  if (const char* v = std::getenv("LF_RT_WATCHDOG")) {
-    cfg.enabled = std::atoi(v) != 0;
-  }
-  const auto env_sz = [](const char* name, std::size_t fallback) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') return fallback;
-    const long long n = std::atoll(v);
-    return n > 0 ? static_cast<std::size_t>(n) : fallback;
-  };
-  cfg.warmup_windows = env_sz("LF_RT_WATCHDOG_WARMUP", cfg.warmup_windows);
-  cfg.breach_windows = env_sz("LF_RT_WATCHDOG_BREACH", cfg.breach_windows);
-  cfg.min_window_routes =
-      env_sz("LF_RT_WATCHDOG_MIN_ROUTES", cfg.min_window_routes);
-  if (const char* v = std::getenv("LF_RT_WATCHDOG_P999_FACTOR")) {
-    const double f = std::atof(v);
-    if (f > 1.0) cfg.p999_spike_factor = f;
-  }
+  cfg.enabled = env_flag("LF_RT_WATCHDOG", cfg.enabled);
+  cfg.warmup_windows =
+      env_size("LF_RT_WATCHDOG_WARMUP", cfg.warmup_windows, 1, 1'000'000);
+  cfg.breach_windows =
+      env_size("LF_RT_WATCHDOG_BREACH", cfg.breach_windows, 1, 1'000'000);
+  cfg.min_window_routes = env_size("LF_RT_WATCHDOG_MIN_ROUTES",
+                                   cfg.min_window_routes, 1, 1'000'000'000);
+  cfg.p999_spike_factor = env_double("LF_RT_WATCHDOG_P999_FACTOR",
+                                     cfg.p999_spike_factor, 1.0, 1000.0);
   return cfg;
 }
 

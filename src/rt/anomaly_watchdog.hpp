@@ -142,12 +142,14 @@ struct watchdog_config {
   bool auto_rollback = false;
 };
 
-/// Environment defaults, all optional:
-///   LF_RT_WATCHDOG          0 disables (default on)
-///   LF_RT_WATCHDOG_WARMUP   warmup_windows
-///   LF_RT_WATCHDOG_BREACH   breach_windows (M)
-///   LF_RT_WATCHDOG_MIN_ROUTES  min_window_routes
-///   LF_RT_WATCHDOG_P999_FACTOR p999_spike_factor
+/// Environment defaults, all optional, parsed strictly by
+/// rt/harness_env.hpp (a malformed or out-of-range value exits 2 naming the
+/// variable, so only a harness main() should call this):
+///   LF_RT_WATCHDOG          0 disables, 1 enables (default on)
+///   LF_RT_WATCHDOG_WARMUP   warmup_windows, >= 1
+///   LF_RT_WATCHDOG_BREACH   breach_windows (M), >= 1
+///   LF_RT_WATCHDOG_MIN_ROUTES  min_window_routes, >= 1
+///   LF_RT_WATCHDOG_P999_FACTOR p999_spike_factor, in [1, 1000]
 watchdog_config watchdog_config_from_env();
 
 /// One rule's rolling baseline (exposed for tests and the incident record).

@@ -130,6 +130,8 @@ int main() {
       rt::env_size("LF_RT_BLACKBOX", 2048, 0, 1 << 24);
   const std::size_t probation_windows =
       rt::env_size("LF_RT_PROBATION_WINDOWS", 100, 1, 1 << 20);
+  rt::stats_sampler_config scfg = rt::stats_config_from_env();
+  rt::watchdog_config wcfg = rt::watchdog_config_from_env();
 
   rt::engine_config cfg;
   cfg.models = models;
@@ -149,14 +151,12 @@ int main() {
 
   metrics::registry reg;
   engine->register_metrics(reg, "rt");
-  rt::stats_sampler_config scfg = rt::stats_config_from_env();
   if (scfg.interval_ms <= 0.0) scfg.interval_ms = 100.0;  // harness default
   if (scfg.text_out.empty()) {
     scfg.text_out = bench::output_dir() + "/STATS_multimodel.prom";
   }
   // Watchdog before the sampler: the sampler holds a raw pointer and must
   // die first (it does — reverse declaration order).
-  rt::watchdog_config wcfg = rt::watchdog_config_from_env();
   wcfg.incident_label = "multimodel";
   wcfg.auto_rollback = cfg.probation_windows != 0;
   rt::anomaly_watchdog watchdog{wcfg, engine.get()};

@@ -15,15 +15,15 @@
 #endif
 
 #include "rt/anomaly_watchdog.hpp"
+#include "rt/harness_env.hpp"
 
 namespace lf::rt {
 
 stats_sampler_config stats_config_from_env() {
   stats_sampler_config cfg;
-  cfg.interval_ms = 0.0;  // env default: off until asked for
-  if (const char* v = std::getenv("LF_RT_STATS_INTERVAL_MS")) {
-    cfg.interval_ms = std::atof(v);
-  }
+  // env default: off until asked for
+  cfg.interval_ms =
+      env_double("LF_RT_STATS_INTERVAL_MS", 0.0, 0.0, 3'600'000.0);
   if (const char* v = std::getenv("LF_RT_STATS_OUT")) {
     cfg.text_out = v;
   }

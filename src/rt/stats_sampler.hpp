@@ -52,9 +52,11 @@ struct stats_sampler_config {
   std::size_t max_windows = 100000;
 };
 
-/// Environment defaults: LF_RT_STATS_INTERVAL_MS (window length; 0 or unset
-/// disables), LF_RT_STATS_OUT (text exposition path) and LF_RT_STATS_FIFO
-/// (live-scrape FIFO path).
+/// Environment defaults: LF_RT_STATS_INTERVAL_MS (window length in
+/// [0, 3600000] ms; 0 or unset disables), LF_RT_STATS_OUT (text exposition
+/// path) and LF_RT_STATS_FIFO (live-scrape FIFO path).  The interval is
+/// parsed strictly by rt/harness_env.hpp: a malformed or out-of-range value
+/// exits 2 naming the variable, so only a harness main() should call this.
 stats_sampler_config stats_config_from_env();
 
 /// One folded window.

@@ -50,7 +50,8 @@
 //   LF_RT_LAT_SHIFT      time 1-in-2^shift routes (default 0 = all)
 //   LF_RT_BLACKBOX       flight-recorder events per ring (default 4096;
 //                        0 disables the recorder)
-//   LF_RT_STATS_INTERVAL_MS  stats-sampler window (default 100; <= 0 off)
+//   LF_RT_STATS_INTERVAL_MS  stats-sampler window in ms, [0, 3600000]
+//                        (default 100; 0 also means 100)
 //   LF_RT_STATS_OUT      Prometheus text dump path (default
 //                        <bench dir>/STATS_rt_engine.prom)
 //   LF_RT_STATS_FIFO     live-scrape FIFO path (default off)
@@ -286,8 +287,16 @@ struct stress_stats {
   std::uint64_t switches = 0;
 };
 
+/// The main phase's observers, read from the environment at the top of
+/// main() so a bad value stops the harness before any thread starts.
+struct observer_config {
+  rt::stats_sampler_config stats;
+  rt::watchdog_config watchdog;
+};
+
 /// One full stress run: n workers + one randomized writer for `duration`
 /// seconds (and, when `min_switches > 0`, until the switch target is met).
+/// `observers` (with `reg`) turns on the stats sampler and the watchdog.
 stress_stats run_stress(const rt::engine_config& cfg,
                         const std::vector<codegen::snapshot>& pool,
                         std::size_t n_workers, std::size_t flows,
@@ -298,7 +307,8 @@ stress_stats run_stress(const rt::engine_config& cfg,
                         std::vector<worker_outcome>* outcomes_out = nullptr,
                         rt::stats_sampler** sampler_out = nullptr,
                         const inject_plan* inject = nullptr,
-                        rt::anomaly_watchdog** watchdog_out = nullptr) {
+                        rt::anomaly_watchdog** watchdog_out = nullptr,
+                        const observer_config* observers = nullptr) {
   static std::unique_ptr<rt::datapath_engine> keep_alive;  // for engine_out
   // Statics tear down in reverse declaration order, so borrow direction
   // dictates this order: the watchdog borrows the engine, and the sampler
@@ -330,15 +340,15 @@ stress_stats run_stress(const rt::engine_config& cfg,
   // declared after the watchdog it calls into, so it is destroyed first.
   std::unique_ptr<rt::anomaly_watchdog> watchdog;
   std::unique_ptr<rt::stats_sampler> sampler;
-  if (reg != nullptr) {
-    rt::stats_sampler_config scfg = rt::stats_config_from_env();
+  if (reg != nullptr && observers != nullptr) {
+    rt::stats_sampler_config scfg = observers->stats;
     if (scfg.interval_ms <= 0.0) scfg.interval_ms = 100.0;  // harness default
     if (scfg.text_out.empty()) {
       scfg.text_out = bench::output_dir() + "/STATS_rt_engine.prom";
     }
     sampler = std::make_unique<rt::stats_sampler>(*engine, scfg);
     sampler->register_metrics(*reg, "rt");
-    rt::watchdog_config wcfg = rt::watchdog_config_from_env();
+    rt::watchdog_config wcfg = observers->watchdog;
     if (wcfg.enabled) {
       wcfg.incident_label = "rt_engine";
       // Probation without a policy is just a slower retire: whenever holds
@@ -564,6 +574,8 @@ int main() {
   const bool inject_bad = rt::env_flag("LF_RT_INJECT_BAD_SWITCH", false);
   const std::size_t probation_windows = rt::env_size(
       "LF_RT_PROBATION_WINDOWS", inject_bad ? 30 : 0, 0, 1 << 20);
+  const observer_config observers{rt::stats_config_from_env(),
+                                  rt::watchdog_config_from_env()};
   const unsigned host_cpus = std::thread::hardware_concurrency();
 
   rt::engine_config cfg;
@@ -715,7 +727,7 @@ int main() {
   const stress_stats main_st =
       run_stress(cfg, pool, threads, flows, batch, duration, min_switches,
                  &reg, &engine, &outcomes, &sampler,
-                 inject.any() ? &inject : nullptr, &watchdog);
+                 inject.any() ? &inject : nullptr, &watchdog, &observers);
   const double elapsed = now_seconds(stress_t0);
 
   // Drain: FIN every flow, then retire everything demoted.  After the
