@@ -2,8 +2,9 @@
 // FP32 forward vs integer-interpreter inference (legacy allocating path vs
 // the arena-packed zero-allocation fast path) vs real GCC-compiled snapshot
 // inference, plus the open-addressing flow cache, snapshot generation
-// (quantize + translate) and template rendering.  These back the Fig. 15
-// latency story with real wall-clock numbers on this machine.
+// (freeze + quantize), on-demand C rendering and template rendering.  These
+// back the Fig. 15 latency story with real wall-clock numbers on this
+// machine.
 //
 // On exit, the fast-path-relevant results are also written to
 // BENCH_fastpath.json via the shared reporter (honors LF_BENCH_OUT; see
@@ -13,6 +14,7 @@
 #include <iostream>
 #include <map>
 
+#include "codegen/c_emitter.hpp"
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
 #include "codegen/template_engine.hpp"
@@ -136,7 +138,7 @@ void bm_compiled_infer_aurora(benchmark::State& state) {
     state.SkipWithError("gcc not available");
     return;
   }
-  static const auto compiled = codegen::compiled_snapshot::compile(snap.c_source);
+  static const auto compiled = codegen::compiled_snapshot::compile(snap);
   std::vector<fp::s64> x(snap.input_size(), 250);
   for (auto _ : state) {
     benchmark::DoNotOptimize(compiled.infer(x, snap.output_size()));
@@ -150,7 +152,7 @@ void bm_compiled_infer_ffnn(benchmark::State& state) {
     state.SkipWithError("gcc not available");
     return;
   }
-  static const auto compiled = codegen::compiled_snapshot::compile(snap.c_source);
+  static const auto compiled = codegen::compiled_snapshot::compile(snap);
   std::vector<fp::s64> x(snap.input_size(), 500);
   for (auto _ : state) {
     benchmark::DoNotOptimize(compiled.infer(x, snap.output_size()));
@@ -164,6 +166,16 @@ void bm_snapshot_generation_aurora(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_snapshot_generation_aurora);
+
+// The C text a snapshot no longer carries: what compiling one costs before
+// gcc runs.
+void bm_emit_c_source_aurora(benchmark::State& state) {
+  static const auto snap = codegen::generate_snapshot(aurora(), "a", 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codegen::emit_c_source(snap));
+  }
+}
+BENCHMARK(bm_emit_c_source_aurora);
 
 void bm_template_render_fc_layer(benchmark::State& state) {
   codegen::tcontext ctx;

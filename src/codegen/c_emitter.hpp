@@ -9,6 +9,9 @@
 //    test suite compiles with GCC and dlopens to golden-test the generated
 //    arithmetic against the in-memory interpreter (quant::quantized_mlp).
 // Both paths execute bit-identical integer arithmetic.
+//
+// Rendering is on demand: a snapshot carries only the integer program, and
+// the C text is produced here when something compiles or inspects it.
 #pragma once
 
 #include <string>
@@ -16,6 +19,8 @@
 #include "quant/quantized_mlp.hpp"
 
 namespace lf::codegen {
+
+struct snapshot;
 
 struct emit_options {
   std::string model_name = "model";
@@ -25,5 +30,9 @@ struct emit_options {
 /// Render the complete C source for the snapshot program.
 std::string emit_c_source(const quant::quantized_mlp& program,
                           const emit_options& options);
+
+/// Render the C source for a generated snapshot, named and versioned after
+/// it (the module registers under that name and version).
+std::string emit_c_source(const snapshot& snap);
 
 }  // namespace lf::codegen

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "codegen/c_emitter.hpp"
+
 namespace lf::codegen {
 namespace {
 
@@ -24,6 +26,10 @@ std::string temp_path(const char* suffix) {
 
 bool compiler_available() {
   return std::system("gcc --version > /dev/null 2>&1") == 0;
+}
+
+compiled_snapshot compiled_snapshot::compile(const snapshot& snap) {
+  return compile(emit_c_source(snap));
 }
 
 compiled_snapshot compiled_snapshot::compile(const std::string& c_source) {

@@ -17,12 +17,17 @@
 
 namespace lf::codegen {
 
+struct snapshot;
+
 class compiled_snapshot {
  public:
   /// Write `c_source` to a temp file, compile it with `gcc -O2 -shared`, and
   /// dlopen the result.  Throws std::runtime_error (with the compiler's
   /// stderr) on failure.  Requires a working gcc on PATH.
   static compiled_snapshot compile(const std::string& c_source);
+
+  /// Render the snapshot's C source on demand (emit_c_source) and compile it.
+  static compiled_snapshot compile(const snapshot& snap);
 
   compiled_snapshot(compiled_snapshot&&) noexcept;
   compiled_snapshot& operator=(compiled_snapshot&&) noexcept;

@@ -5,13 +5,7 @@ namespace lf::codegen {
 snapshot generate_snapshot(const nn::mlp& model,
                            const quant::quantizer_config& qconfig,
                            std::string name, std::uint64_t version) {
-  auto program = quant::quantize(model, qconfig);
-  emit_options options;
-  options.model_name = name;
-  options.version = version;
-  auto source = emit_c_source(program, options);
-  return snapshot{std::move(name), version, std::move(program),
-                  std::move(source)};
+  return snapshot{std::move(name), version, quant::quantize(model, qconfig)};
 }
 
 snapshot generate_snapshot(const nn::mlp& model, std::string name,

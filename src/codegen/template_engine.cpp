@@ -1,6 +1,7 @@
 #include "codegen/template_engine.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,18 +32,6 @@ bool tvalue::truthy() const noexcept {
       return !arr_.empty();
   }
   return false;
-}
-
-std::string tvalue::to_output() const {
-  switch (kind_) {
-    case kind::integer:
-      return std::to_string(int_);
-    case kind::string:
-      return str_;
-    case kind::array:
-      throw std::runtime_error{"tvalue: cannot render an array"};
-  }
-  return {};
 }
 
 template_error::template_error(const std::string& message, std::size_t offset)
@@ -139,18 +128,141 @@ std::vector<token> tokenize(std::string_view tmpl) {
 
 // ----------------------------------------------------------- expressions --
 
-struct scope {
-  const tcontext* globals;
-  const std::map<std::string, tvalue, std::less<>>* locals;  // may be null
+// What an expression evaluates to, without copying a tvalue: a reference
+// into the context (an identifier, an element of one, or a bound loop item),
+// an inline integer (literals, loop.* attributes, range elements), or a lazy
+// integer range [lo, hi).
+struct value_ref {
+  enum class kind { ref, integer, range };
+  kind k = kind::integer;
+  const tvalue* ref = nullptr;
+  std::int64_t lo = 0;  // the integer, or the range's first element
+  std::int64_t hi = 0;  // the range's end
 
-  const tvalue* find(std::string_view name) const {
-    if (locals) {
-      const auto it = locals->find(name);
-      if (it != locals->end()) return &it->second;
+  static value_ref of(const tvalue& v) { return {kind::ref, &v, 0, 0}; }
+  static value_ref integer(std::int64_t v) {
+    return {kind::integer, nullptr, v, 0};
+  }
+  static value_ref range(std::int64_t lo, std::int64_t hi) {
+    return {kind::range, nullptr, lo, hi};
+  }
+
+  std::int64_t as_int() const {
+    if (k == kind::ref) return ref->as_int();
+    if (k == kind::range) throw std::runtime_error{"tvalue: not an integer"};
+    return lo;
+  }
+
+  std::size_t size() const {
+    if (k == kind::ref) return ref->as_array().size();
+    if (k == kind::integer) throw std::runtime_error{"tvalue: not an array"};
+    return hi > lo ? static_cast<std::size_t>(hi - lo) : 0;
+  }
+
+  /// Element i of an array or range; i < size().
+  value_ref at(std::size_t i) const {
+    if (k == kind::ref) return of(ref->as_array()[i]);
+    return integer(lo + static_cast<std::int64_t>(i));
+  }
+
+  bool truthy() const {
+    switch (k) {
+      case kind::ref:
+        return ref->truthy();
+      case kind::integer:
+        return lo != 0;
+      case kind::range:
+        return hi > lo;
     }
-    const auto it = globals->find(name);
-    if (it != globals->end()) return &it->second;
-    return nullptr;
+    return false;
+  }
+
+  /// Append the {{ }} rendering: decimal integers, strings verbatim.
+  void append_to(std::string& out) const {
+    if (k == kind::range || (k == kind::ref && ref->is_array())) {
+      throw std::runtime_error{"tvalue: cannot render an array"};
+    }
+    if (k == kind::ref && ref->is_string()) {
+      out += ref->as_string();
+      return;
+    }
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), as_int());
+    out.append(buf, r.ptr);
+  }
+};
+
+enum class loop_attr { none, index0, first, last };
+
+// One loop level of the scope chain.  Lookups walk from the innermost frame
+// outward, then fall back to the globals, so a loop variable shadows both
+// outer loop variables and context entries; loop.* names the innermost loop.
+struct frame {
+  const tcontext* globals;
+  const frame* parent = nullptr;  // null for the top-level (globals) frame
+  std::string_view var{};
+  value_ref item{};
+  std::size_t index = 0;
+  std::size_t count = 0;
+
+  value_ref loop(loop_attr a) const {
+    switch (a) {
+      case loop_attr::index0:
+        return value_ref::integer(static_cast<std::int64_t>(index));
+      case loop_attr::first:
+        return value_ref::integer(index == 0 ? 1 : 0);
+      case loop_attr::last:
+        return value_ref::integer(index + 1 == count ? 1 : 0);
+      case loop_attr::none:
+        break;
+    }
+    return {};
+  }
+};
+
+/// An expression compiled once at template parse time.
+struct expr {
+  enum class kind { literal, variable, index, range };
+  kind k = kind::literal;
+  std::int64_t literal = 0;
+  std::string name;                 // variable: flat (possibly dotted) key
+  loop_attr attr = loop_attr::none;  // variable: loop.index0/first/last
+  std::unique_ptr<expr> lhs;        // index: the array; range: lo
+  std::unique_ptr<expr> rhs;        // index: the subscript; range: hi
+  std::size_t offset = 0;           // diagnostics
+
+  value_ref eval(const frame& sc) const {
+    switch (k) {
+      case kind::literal:
+        return value_ref::integer(literal);
+      case kind::variable:
+        return lookup(sc);
+      case kind::index: {
+        const value_ref base = lhs->eval(sc);
+        const auto i = rhs->eval(sc).as_int();
+        if (i < 0 || static_cast<std::size_t>(i) >= base.size()) {
+          throw template_error{"index out of range", offset};
+        }
+        return base.at(static_cast<std::size_t>(i));
+      }
+      case kind::range:
+        return value_ref::range(lhs->eval(sc).as_int(),
+                                rhs->eval(sc).as_int());
+    }
+    return {};
+  }
+
+ private:
+  value_ref lookup(const frame& sc) const {
+    if (attr != loop_attr::none && sc.parent != nullptr) return sc.loop(attr);
+    for (const frame* f = &sc; f->parent != nullptr; f = f->parent) {
+      if (f->var == name) return f->item;
+    }
+    const auto it = sc.globals->find(name);
+    if (it == sc.globals->end()) {
+      throw template_error{"unknown variable '" + name + "'", offset};
+    }
+    return value_ref::of(it->second);
   }
 };
 
@@ -159,13 +271,13 @@ class expr_parser {
   expr_parser(std::string_view text, std::size_t base_offset)
       : text_{text}, base_{base_offset} {}
 
-  tvalue parse(const scope& sc) {
-    const tvalue v = parse_postfix(sc);
+  std::unique_ptr<expr> parse() {
+    auto e = parse_postfix();
     skip_ws();
     if (pos_ != text_.size()) {
       throw template_error{"trailing characters in expression", base_ + pos_};
     }
-    return v;
+    return e;
   }
 
  private:
@@ -185,24 +297,23 @@ class expr_parser {
     return false;
   }
 
-  tvalue parse_postfix(const scope& sc) {
-    tvalue v = parse_primary(sc);
+  std::unique_ptr<expr> parse_postfix() {
+    auto e = parse_primary();
     while (consume('[')) {
-      const tvalue idx = parse_postfix(sc);
+      auto idx = std::make_unique<expr>();
+      idx->k = expr::kind::index;
+      idx->lhs = std::move(e);
+      idx->rhs = parse_postfix();
       if (!consume(']')) {
         throw template_error{"expected ']'", base_ + pos_};
       }
-      const auto& arr = v.as_array();
-      const auto i = idx.as_int();
-      if (i < 0 || static_cast<std::size_t>(i) >= arr.size()) {
-        throw template_error{"index out of range", base_ + pos_};
-      }
-      v = arr[static_cast<std::size_t>(i)];
+      idx->offset = base_ + pos_;
+      e = std::move(idx);
     }
-    return v;
+    return e;
   }
 
-  tvalue parse_primary(const scope& sc) {
+  std::unique_ptr<expr> parse_primary() {
     skip_ws();
     if (pos_ >= text_.size()) {
       throw template_error{"empty expression", base_ + pos_};
@@ -213,34 +324,41 @@ class expr_parser {
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       std::string name = parse_identifier();
-      if (name == "range") return parse_range(sc);
+      if (name == "range") return parse_range();
       // Dotted lookups (loop.last) resolve as flat keys.
       while (consume('.')) name += "." + parse_identifier();
-      const tvalue* v = sc.find(name);
-      if (!v) throw template_error{"unknown variable '" + name + "'",
-                                   base_ + pos_};
-      return *v;
+      auto e = std::make_unique<expr>();
+      e->k = expr::kind::variable;
+      if (name == "loop.index0") e->attr = loop_attr::index0;
+      if (name == "loop.first") e->attr = loop_attr::first;
+      if (name == "loop.last") e->attr = loop_attr::last;
+      e->name = std::move(name);
+      e->offset = base_ + pos_;
+      return e;
     }
     throw template_error{"unexpected character in expression", base_ + pos_};
   }
 
-  tvalue parse_int() {
+  std::unique_ptr<expr> parse_int() {
     skip_ws();
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
+    auto e = std::make_unique<expr>();
+    const auto r = std::from_chars(text_.data() + start, text_.data() + pos_,
+                                   e->literal);
+    if (r.ec != std::errc{} || r.ptr != text_.data() + pos_) {
       throw template_error{"bad integer literal", base_ + start};
     }
-    return tvalue{std::stoll(std::string{text_.substr(start, pos_ - start)})};
+    return e;
   }
 
   std::string parse_identifier() {
     skip_ws();
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     while (pos_ < text_.size() &&
            (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '_')) {
@@ -252,15 +370,15 @@ class expr_parser {
     return std::string{text_.substr(start, pos_ - start)};
   }
 
-  tvalue parse_range(const scope& sc) {
+  std::unique_ptr<expr> parse_range() {
+    auto e = std::make_unique<expr>();
+    e->k = expr::kind::range;
     if (!consume('(')) throw template_error{"expected '('", base_ + pos_};
-    const auto lo = parse_postfix(sc).as_int();
+    e->lhs = parse_postfix();
     if (!consume(',')) throw template_error{"expected ','", base_ + pos_};
-    const auto hi = parse_postfix(sc).as_int();
+    e->rhs = parse_postfix();
     if (!consume(')')) throw template_error{"expected ')'", base_ + pos_};
-    std::vector<tvalue> out;
-    for (std::int64_t i = lo; i < hi; ++i) out.emplace_back(i);
-    return tvalue{std::move(out)};
+    return e;
   }
 
   std::string_view text_;
@@ -268,69 +386,59 @@ class expr_parser {
   std::size_t pos_ = 0;
 };
 
-tvalue eval_expr(std::string_view text, std::size_t offset, const scope& sc) {
-  return expr_parser{text, offset}.parse(sc);
+std::unique_ptr<expr> compile_expr(std::string_view text, std::size_t offset) {
+  return expr_parser{text, offset}.parse();
 }
 
 // ------------------------------------------------------------------ AST --
 
 struct node {
   virtual ~node() = default;
-  virtual void render(std::ostream& os, const scope& sc) const = 0;
+  virtual void render(std::string& out, const frame& sc) const = 0;
 };
 
 using node_list = std::vector<std::unique_ptr<node>>;
 
+void render_all(const node_list& nodes, std::string& out, const frame& sc) {
+  for (const auto& n : nodes) n->render(out, sc);
+}
+
 struct text_node final : node {
   explicit text_node(std::string t) : text{std::move(t)} {}
-  void render(std::ostream& os, const scope&) const override { os << text; }
+  void render(std::string& out, const frame&) const override { out += text; }
   std::string text;
 };
 
 struct output_node final : node {
-  output_node(std::string e, std::size_t off) : expr{std::move(e)}, offset{off} {}
-  void render(std::ostream& os, const scope& sc) const override {
-    os << eval_expr(expr, offset, sc).to_output();
+  explicit output_node(std::unique_ptr<expr> e) : value{std::move(e)} {}
+  void render(std::string& out, const frame& sc) const override {
+    value->eval(sc).append_to(out);
   }
-  std::string expr;
-  std::size_t offset;
+  std::unique_ptr<expr> value;
 };
 
 struct for_node final : node {
   std::string var;
-  std::string expr;
-  std::size_t offset = 0;
+  std::unique_ptr<expr> seq;
   node_list body;
 
-  void render(std::ostream& os, const scope& sc) const override {
-    const tvalue seq = eval_expr(expr, offset, sc);
-    const auto& items = seq.as_array();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      std::map<std::string, tvalue, std::less<>> locals;
-      if (sc.locals) locals = *sc.locals;  // allow nested loops
-      locals[var] = items[i];
-      locals["loop.index0"] = static_cast<std::int64_t>(i);
-      locals["loop.first"] = static_cast<std::int64_t>(i == 0 ? 1 : 0);
-      locals["loop.last"] =
-          static_cast<std::int64_t>(i + 1 == items.size() ? 1 : 0);
-      const scope inner{sc.globals, &locals};
-      for (const auto& n : body) n->render(os, inner);
+  void render(std::string& out, const frame& sc) const override {
+    const value_ref items = seq->eval(sc);
+    frame inner{sc.globals, &sc, var, {}, 0, items.size()};
+    for (; inner.index < inner.count; ++inner.index) {
+      inner.item = items.at(inner.index);
+      render_all(body, out, inner);
     }
   }
 };
 
 struct if_node final : node {
   bool negate = false;
-  std::string expr;
-  std::size_t offset = 0;
+  std::unique_ptr<expr> cond;
   node_list body;
 
-  void render(std::ostream& os, const scope& sc) const override {
-    bool cond = eval_expr(expr, offset, sc).truthy();
-    if (negate) cond = !cond;
-    if (cond) {
-      for (const auto& n : body) n->render(os, sc);
-    }
+  void render(std::string& out, const frame& sc) const override {
+    if (cond->eval(sc).truthy() != negate) render_all(body, out, sc);
   }
 };
 
@@ -351,7 +459,8 @@ class block_parser {
           ++pos_;
           break;
         case token_kind::output:
-          out.push_back(std::make_unique<output_node>(t.body, t.offset));
+          out.push_back(
+              std::make_unique<output_node>(compile_expr(t.body, t.offset)));
           ++pos_;
           break;
         case token_kind::tag: {
@@ -387,15 +496,15 @@ class block_parser {
     std::string var;
     std::string in_kw;
     is >> kw >> var >> in_kw;
-    std::string expr;
-    std::getline(is, expr);
-    if (in_kw != "in" || var.empty() || strip(expr).empty()) {
+    std::string seq;
+    std::getline(is, seq);
+    seq = strip(seq);
+    if (in_kw != "in" || var.empty() || seq.empty()) {
       throw template_error{"malformed for tag", t.offset};
     }
     auto n = std::make_unique<for_node>();
     n->var = var;
-    n->expr = strip(expr);
-    n->offset = t.offset;
+    n->seq = compile_expr(seq, t.offset);
     ++pos_;
     n->body = parse("endfor");
     return n;
@@ -409,8 +518,7 @@ class block_parser {
       rest = strip(rest.substr(4));
     }
     if (rest.empty()) throw template_error{"malformed if tag", t.offset};
-    n->expr = rest;
-    n->offset = t.offset;
+    n->cond = compile_expr(rest, t.offset);
     ++pos_;
     n->body = parse("endif");
     return n;
@@ -426,10 +534,10 @@ std::string render_template(std::string_view tmpl, const tcontext& ctx) {
   const auto tokens = tokenize(tmpl);
   block_parser parser{tokens};
   const node_list nodes = parser.parse("");
-  std::ostringstream os;
-  const scope sc{&ctx, nullptr};
-  for (const auto& n : nodes) n->render(os, sc);
-  return os.str();
+  std::string out;
+  out.reserve(tmpl.size());
+  render_all(nodes, out, frame{&ctx});
+  return out;
 }
 
 }  // namespace lf::codegen

@@ -11,6 +11,9 @@
 //   {%- ... -%} / {{- ... -}}        whitespace trimming
 // Expressions: integer literals, identifiers, 1-2 level indexing a[i][j]
 // with integer or identifier indices, and the dotted loop variables.
+// Expressions are parsed once, when the template is; rendering evaluates
+// them to references into the context and binds loop variables through a
+// chain of scopes, so no tvalue is copied while rendering.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +47,6 @@ class tvalue {
 
   /// Truthiness: nonzero int, nonempty string/array.
   bool truthy() const noexcept;
-
-  /// Rendered form for {{ }} output.
-  std::string to_output() const;
 
  private:
   enum class kind { integer, string, array };

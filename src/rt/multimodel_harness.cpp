@@ -38,7 +38,9 @@
 //   LF_RT_STATS_INTERVAL_MS / LF_RT_STATS_OUT
 //                  live-telemetry knobs, same semantics as the stress
 //                  harness (latency and the 100 ms sampler default ON here;
-//                  stats text lands in STATS_multimodel.prom)
+//                  stats text lands in STATS_multimodel.prom), except that
+//                  LF_RT_STATS_INTERVAL_MS=0 exits 2: the watchdog and the
+//                  stage-D rollback ride the sampler's tick
 //   LF_RT_WATCHDOG / LF_RT_WATCHDOG_*
 //                  anomaly watchdog knobs (rt/anomaly_watchdog.hpp); fired
 //                  incidents land in INCIDENT_multimodel.json and as chart
@@ -130,7 +132,8 @@ int main() {
       rt::env_size("LF_RT_BLACKBOX", 2048, 0, 1 << 24);
   const std::size_t probation_windows =
       rt::env_size("LF_RT_PROBATION_WINDOWS", 100, 1, 1 << 20);
-  rt::stats_sampler_config scfg = rt::stats_config_from_env();
+  rt::stats_sampler_config scfg =
+      rt::stats_config_from_env(100.0, /*required=*/true);
   rt::watchdog_config wcfg = rt::watchdog_config_from_env();
 
   rt::engine_config cfg;
@@ -151,7 +154,6 @@ int main() {
 
   metrics::registry reg;
   engine->register_metrics(reg, "rt");
-  if (scfg.interval_ms <= 0.0) scfg.interval_ms = 100.0;  // harness default
   if (scfg.text_out.empty()) {
     scfg.text_out = bench::output_dir() + "/STATS_multimodel.prom";
   }
@@ -553,6 +555,11 @@ int main() {
 
   // ---- verdict ---------------------------------------------------------
   bool ok = script_ok;
+  if (routes == 0) {
+    std::fprintf(stderr, "FAIL: workers routed nothing (%zu workers)\n",
+                 workers);
+    ok = false;
+  }
   if (violations != 0) {
     std::fprintf(stderr, "FAIL: %llu consistency violations\n",
                  static_cast<unsigned long long>(violations));

@@ -19,11 +19,16 @@
 
 namespace lf::rt {
 
-stats_sampler_config stats_config_from_env() {
+stats_sampler_config stats_config_from_env(double default_ms, bool required) {
   stats_sampler_config cfg;
-  // env default: off until asked for
   cfg.interval_ms =
-      env_double("LF_RT_STATS_INTERVAL_MS", 0.0, 0.0, 3'600'000.0);
+      env_double("LF_RT_STATS_INTERVAL_MS", default_ms, 0.0, 3'600'000.0);
+  if (required && cfg.interval_ms == 0.0) {
+    const char* v = std::getenv("LF_RT_STATS_INTERVAL_MS");
+    env_reject("LF_RT_STATS_INTERVAL_MS", v != nullptr ? v : "",
+               "this run needs the stats sampler; expected a number in "
+               "(0, 3600000]");
+  }
   if (const char* v = std::getenv("LF_RT_STATS_OUT")) {
     cfg.text_out = v;
   }

@@ -53,11 +53,13 @@ struct stats_sampler_config {
 };
 
 /// Environment defaults: LF_RT_STATS_INTERVAL_MS (window length in
-/// [0, 3600000] ms; 0 or unset disables), LF_RT_STATS_OUT (text exposition
-/// path) and LF_RT_STATS_FIFO (live-scrape FIFO path).  The interval is
-/// parsed strictly by rt/harness_env.hpp: a malformed or out-of-range value
-/// exits 2 naming the variable, so only a harness main() should call this.
-stats_sampler_config stats_config_from_env();
+/// [0, 3600000] ms; unset reads as `default_ms`, 0 disables the sampler),
+/// LF_RT_STATS_OUT (text exposition path) and LF_RT_STATS_FIFO (live-scrape
+/// FIFO path).  The interval is parsed strictly by rt/harness_env.hpp: a
+/// malformed or out-of-range value exits 2 naming the variable, and so does
+/// 0 when `required` (a run whose watchdog, rollback or probation rides the
+/// sampler's tick).  Only a harness main() should call this.
+stats_sampler_config stats_config_from_env(double default_ms, bool required);
 
 /// One folded window.
 struct stats_window {

@@ -51,7 +51,10 @@
 //   LF_RT_BLACKBOX       flight-recorder events per ring (default 4096;
 //                        0 disables the recorder)
 //   LF_RT_STATS_INTERVAL_MS  stats-sampler window in ms, [0, 3600000]
-//                        (default 100; 0 also means 100)
+//                        (default 100).  0 turns the sampler off, and with
+//                        it the watchdog and STATS_rt_engine.prom; it exits
+//                        2 with any LF_RT_INJECT_* or probation on, whose
+//                        verdicts ride the sampler's tick
 //   LF_RT_STATS_OUT      Prometheus text dump path (default
 //                        <bench dir>/STATS_rt_engine.prom)
 //   LF_RT_STATS_FIFO     live-scrape FIFO path (default off)
@@ -333,16 +336,16 @@ stress_stats run_stress(const rt::engine_config& cfg,
     handles.push_back(&w);
   }
 
-  // The windowed stats sampler rides the instrumented (registry) run only:
-  // the sweep phases measure scaling and should not pay even the sampler's
-  // cache traffic.
+  // The windowed stats sampler rides the instrumented (registry) run only,
+  // and only while its interval is nonzero: the sweep phases measure
+  // scaling and should not pay even the sampler's cache traffic.
   // Same borrow-direction ordering as the keep_* statics: the sampler is
   // declared after the watchdog it calls into, so it is destroyed first.
   std::unique_ptr<rt::anomaly_watchdog> watchdog;
   std::unique_ptr<rt::stats_sampler> sampler;
-  if (reg != nullptr && observers != nullptr) {
+  if (reg != nullptr && observers != nullptr &&
+      observers->stats.interval_ms > 0.0) {
     rt::stats_sampler_config scfg = observers->stats;
-    if (scfg.interval_ms <= 0.0) scfg.interval_ms = 100.0;  // harness default
     if (scfg.text_out.empty()) {
       scfg.text_out = bench::output_dir() + "/STATS_rt_engine.prom";
     }
@@ -574,8 +577,12 @@ int main() {
   const bool inject_bad = rt::env_flag("LF_RT_INJECT_BAD_SWITCH", false);
   const std::size_t probation_windows = rt::env_size(
       "LF_RT_PROBATION_WINDOWS", inject_bad ? 30 : 0, 0, 1 << 20);
-  const observer_config observers{rt::stats_config_from_env(),
-                                  rt::watchdog_config_from_env()};
+  // Injection verdicts and probation holds ride the sampler's tick.
+  const bool needs_sampler =
+      inject_stall || inject_storm || inject_bad || probation_windows != 0;
+  const observer_config observers{
+      rt::stats_config_from_env(100.0, needs_sampler),
+      rt::watchdog_config_from_env()};
   const unsigned host_cpus = std::thread::hardware_concurrency();
 
   rt::engine_config cfg;

@@ -2,6 +2,9 @@
 // gcc+dlopen golden test proving generated code matches the interpreter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "codegen/c_emitter.hpp"
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
@@ -117,7 +120,7 @@ TEST(CEmitter, SourceContainsExpectedStructure) {
   rng g{50};
   const auto net = nn::make_aurora_net(g);
   const auto snap = generate_snapshot(net, "aurora", 3);
-  const auto& src = snap.c_source;
+  const auto src = emit_c_source(snap);
   // Per-layer functions like the paper's Listing 2.
   EXPECT_NE(src.find("static void fc_0_comp"), std::string::npos);
   EXPECT_NE(src.find("static void fc_1_comp"), std::string::npos);
@@ -136,9 +139,60 @@ TEST(CEmitter, SourceContainsExpectedStructure) {
 TEST(CEmitter, ReluNetsHaveNoLut) {
   rng g{51};
   const auto net = nn::make_ffnn_flow_size_net(g);
-  const auto snap = generate_snapshot(net, "ffnn", 1);
-  EXPECT_EQ(snap.c_source.find("lut_"), std::string::npos);
-  EXPECT_NE(snap.c_source.find("lf_relu("), std::string::npos);
+  const auto src = emit_c_source(generate_snapshot(net, "ffnn", 1));
+  EXPECT_EQ(src.find("lut_"), std::string::npos);
+  EXPECT_NE(src.find("lf_relu("), std::string::npos);
+}
+
+// FNV-1a over the rendered text: equal hashes mean byte-identical source.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden renders: the emitted C for fixed-seed snapshots, pinned by size and
+// hash so any change to the template engine or the emitter that moves a byte
+// fails here.  Re-record only for a deliberate change to the generated C.
+TEST(CEmitter, GoldenSourceAurora) {
+  rng g{50};
+  const auto src = emit_c_source(generate_snapshot(nn::make_aurora_net(g),
+                                                   "aurora", 3));
+  EXPECT_EQ(src.size(), 41645u);
+  EXPECT_EQ(fnv1a(src), 0xbbc3efb327e8705eULL);
+}
+
+TEST(CEmitter, GoldenSourceFfnn) {
+  rng g{51};
+  const auto src = emit_c_source(generate_snapshot(
+      nn::make_ffnn_flow_size_net(g), "ffnn", 1));
+  EXPECT_EQ(src.size(), 5889u);
+  EXPECT_EQ(fnv1a(src), 0x0f676e8adcfba1a5ULL);
+}
+
+TEST(CEmitter, GoldenSourceSaturatingOnly) {
+  // Weights that defeat the no-saturation proof: no fast chain is emitted.
+  quant::qdense_layer l;
+  l.input_size = 2;
+  l.output_size = 2;
+  l.weight_scale = 4;
+  l.weights = {fp::s64_max / 2, fp::s64_max / 3, -fp::s64_max / 2, 9};
+  l.biases = {fp::s64_max / 5, -7};
+  l.act = nn::activation::relu;
+  const quant::quantized_mlp program{2, 1000, {std::move(l)}};
+  const auto src = emit_c_source(program, {});
+  EXPECT_EQ(src.size(), 3217u);
+  EXPECT_EQ(fnv1a(src), 0xed2a8b6acca325e9ULL);
+}
+
+TEST(CEmitter, SnapshotRenderUsesItsNameAndVersion) {
+  rng g{51};
+  const auto snap =
+      generate_snapshot(nn::make_ffnn_flow_size_net(g), "ffnn", 9);
+  EXPECT_EQ(emit_c_source(snap), emit_c_source(snap.program, {"ffnn", 9}));
 }
 
 TEST(Snapshot, MetadataMatchesModel) {
@@ -169,8 +223,10 @@ TEST_P(CompiledGolden, GeneratedCodeMatchesInterpreterBitForBit) {
     }
   }();
   const auto snap = generate_snapshot(net, "golden", 1);
-  const auto compiled = compiled_snapshot::compile(snap.c_source);
+  const auto compiled = compiled_snapshot::compile(snap);
   rng xs{77};
+  quant::inference_scratch scratch;
+  std::vector<fp::s64> fast(net.output_size());
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<fp::s64> x(net.input_size());
     for (auto& v : x) v = xs.uniform_int(-3000, 3000);
@@ -180,6 +236,8 @@ TEST_P(CompiledGolden, GeneratedCodeMatchesInterpreterBitForBit) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(want[i], got[i]) << "output " << i << " trial " << trial;
     }
+    snap.program.infer_into(x, fast, scratch);
+    EXPECT_EQ(fast, got) << "infer_into, trial " << trial;
   }
 }
 
@@ -188,13 +246,13 @@ INSTANTIATE_TEST_SUITE_P(Nets, CompiledGolden, ::testing::Values(0, 1, 2));
 TEST(CEmitter, FastVariantEmittedForSaturationFreeLayers) {
   rng g{53};
   const auto net = nn::make_aurora_net(g);
-  const auto snap = generate_snapshot(net, "aurora", 1);
+  const auto src = emit_c_source(generate_snapshot(net, "aurora", 1));
   // The quantizer's nets prove saturation-free on every layer, so the source
   // must carry both the saturating chain and the fast chain plus the runtime
   // input-bound dispatch that selects between them.
-  EXPECT_NE(snap.c_source.find("fc_0_comp_fast"), std::string::npos);
-  EXPECT_NE(snap.c_source.find("lf_sat_add"), std::string::npos);
-  EXPECT_NE(snap.c_source.find("if (fast)"), std::string::npos);
+  EXPECT_NE(src.find("fc_0_comp_fast"), std::string::npos);
+  EXPECT_NE(src.find("lf_sat_add"), std::string::npos);
+  EXPECT_NE(src.find("if (fast)"), std::string::npos);
 }
 
 TEST(CompiledGoldenSaturating, HugeInputsMatchInterpreterBitForBit) {
@@ -206,7 +264,7 @@ TEST(CompiledGoldenSaturating, HugeInputsMatchInterpreterBitForBit) {
   rng g{61};
   const auto net = nn::make_aurora_net(g);
   const auto snap = generate_snapshot(net, "golden", 1);
-  const auto compiled = compiled_snapshot::compile(snap.c_source);
+  const auto compiled = compiled_snapshot::compile(snap);
   rng xs{78};
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<fp::s64> x(net.input_size());
@@ -256,7 +314,7 @@ TEST(CompiledSnapshot, InferIntoMatchesInfer) {
   rng g{62};
   const auto net = nn::make_ffnn_flow_size_net(g);
   const auto snap = generate_snapshot(net, "golden", 1);
-  const auto compiled = compiled_snapshot::compile(snap.c_source);
+  const auto compiled = compiled_snapshot::compile(snap);
   std::vector<fp::s64> x(net.input_size(), 321);
   std::vector<fp::s64> out(net.output_size());
   compiled.infer_into(x, out);

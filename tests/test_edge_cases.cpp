@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "codegen/c_emitter.hpp"
 #include "codegen/compiled_snapshot.hpp"
 #include "codegen/snapshot.hpp"
 #include "codegen/template_engine.hpp"
@@ -32,8 +33,12 @@ TEST(EdgeCases, SingleLayerLinearNetQuantizesAndCompiles) {
   const auto y = snap.program.infer(x);
   EXPECT_EQ(y.size(), 1u);
   if (codegen::compiler_available()) {
-    const auto compiled = codegen::compiled_snapshot::compile(snap.c_source);
+    const auto compiled = codegen::compiled_snapshot::compile(snap);
     EXPECT_EQ(compiled.infer(x, 1), y);
+    std::vector<fp::s64> fast(1);
+    quant::inference_scratch scratch;
+    snap.program.infer_into(x, fast, scratch);
+    EXPECT_EQ(compiled.infer(x, 1), fast);
   }
 }
 
@@ -43,8 +48,9 @@ TEST(EdgeCases, SigmoidNetGetsLutAndStaysAccurate) {
                                   {1, nn::activation::sigmoid}};
   nn::mlp net{3, specs, g};
   const auto snap = codegen::generate_snapshot(net, "sig", 1);
-  EXPECT_NE(snap.c_source.find("lut_0_values"), std::string::npos);
-  EXPECT_NE(snap.c_source.find("lut_1_values"), std::string::npos);
+  const auto src = codegen::emit_c_source(snap);
+  EXPECT_NE(src.find("lut_0_values"), std::string::npos);
+  EXPECT_NE(src.find("lut_1_values"), std::string::npos);
   rng xs{3};
   for (int i = 0; i < 10; ++i) {
     std::vector<double> x(3);
@@ -182,10 +188,11 @@ TEST(EdgeCases, NegativeWeightsRenderParenthesized) {
   params[0] = -0.5;
   params[1] = -0.25;
   net.set_parameters(params);
-  const auto snap = codegen::generate_snapshot(net, "neg", 1);
-  EXPECT_NE(snap.c_source.find("(-"), std::string::npos);
+  const auto src =
+      codegen::emit_c_source(codegen::generate_snapshot(net, "neg", 1));
+  EXPECT_NE(src.find("(-"), std::string::npos);
   if (codegen::compiler_available()) {
-    EXPECT_NO_THROW(codegen::compiled_snapshot::compile(snap.c_source));
+    EXPECT_NO_THROW(codegen::compiled_snapshot::compile(src));
   }
 }
 

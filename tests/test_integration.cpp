@@ -170,7 +170,7 @@ TEST(Pipeline, GeneratedSourceOfLiveSnapshotCompilesAndMatches) {
 
   const auto* snap = core.manager().get(*core.router().active());
   ASSERT_NE(snap, nullptr);
-  const auto compiled = codegen::compiled_snapshot::compile(snap->c_source);
+  const auto compiled = codegen::compiled_snapshot::compile(*snap);
   std::vector<fp::s64> x(net.input_size());
   rng xs{9};
   for (auto& v : x) v = xs.uniform_int(-1000, 1000);

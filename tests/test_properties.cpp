@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "codegen/c_emitter.hpp"
 #include "codegen/snapshot.hpp"
 #include "netsim/host.hpp"
 #include "netsim/link.hpp"
@@ -122,13 +123,13 @@ TEST_P(SeedSweep, SerializationRoundTripExact) {
 }
 
 /// Property: snapshot generation is deterministic — same model, same
-/// config, byte-identical C source and integer program output.
+/// config, byte-identical rendered C source and integer program output.
 TEST_P(SeedSweep, SnapshotGenerationDeterministic) {
   rng gen{GetParam() + 500};
   const auto net = nn::make_ffnn_flow_size_net(gen);
   const auto a = codegen::generate_snapshot(net, "m", 1);
   const auto b = codegen::generate_snapshot(net, "m", 1);
-  EXPECT_EQ(a.c_source, b.c_source);
+  EXPECT_EQ(codegen::emit_c_source(a), codegen::emit_c_source(b));
   std::vector<fp::s64> x(net.input_size(), 321);
   EXPECT_EQ(a.program.infer(x), b.program.infer(x));
 }
